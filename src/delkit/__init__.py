@@ -6,78 +6,12 @@ singletons), and the entropy of the posterior a deletion channel induces over
 that space, with every closed form backed by an independent brute-force
 oracle.  All arithmetic is exact.
 """
-from .core import (
-    BudgetError,
-    DEFAULT_BUDGET,
-    Mask,
-    Rle,
-    binomial,
-    complement,
-    format_mask,
-    hamming_weight,
-    mask_complement,
-    multichoose,
-    rle_decode,
-    rle_encode,
-    validate_bits,
-)
-from .embed import (
-    BlockMap,
-    block_map_weights,
-    count_embeddings_dp,
-    count_embeddings_runs,
-    enumerate_block_maps,
-    enumerate_masks,
-    sigma_count,
-)
-from .entropy import (
-    EntropyReport,
-    GStepReport,
-    WeightDistribution,
-    delta_single,
-    double_count_identity,
-    double_insertion_cases,
-    double_weight_identity,
-    entropy_report,
-    g_chain,
-    g_transform,
-    min_entropy,
-    mu,
-    posterior,
-    predicted_weights_double,
-    predicted_weights_single,
-    renyi_entropy,
-    sanity_identity_counts_double,
-    sanity_identity_weights_double,
-    shannon_entropy,
-    verify_g_decreases,
-    weight_distribution,
-)
-from .oracle import (
-    OracleBudget,
-    OracleSpace,
-    index_to_string,
-    oracle_count,
-    oracle_entropy,
-    oracle_space,
-    oracle_weight_table,
-)
-from .space import (
-    RunSlots,
-    cluster_size_closed,
-    cluster_size_recursive,
-    cluster_size_simple,
-    composition_slots,
-    enumerate_singletons,
-    enumerate_supersequences,
-    initial_mask,
-    is_maximal_initial,
-    maximal_initials_cluster,
-    maximal_initials_total,
-    run_slots,
-    singleton_cluster_count,
-    singleton_count,
-    upsilon_size,
-)
+from . import core, embed, entropy, oracle, space
+from .core import *
+from .embed import *
+from .entropy import *
+from .oracle import *
+from .space import *
 
+__all__ = core.__all__ + embed.__all__ + entropy.__all__ + oracle.__all__ + space.__all__
 __version__ = "0.1.0"

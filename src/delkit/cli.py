@@ -8,7 +8,7 @@ for a given invocation.  Exit codes: 0 success, 1 verification failure,
 2 usage/budget error.
 
 Enumeration budgets resolve as flag (--budget) over environment
-(DELKIT_BUDGET) over the built-in default of 24.
+(DELKIT_BUDGET) over the built-in default of 24, and must be nonnegative.
 """
 from __future__ import annotations
 
@@ -28,45 +28,30 @@ from .embed import count_embeddings_dp, count_embeddings_runs, enumerate_masks
 ENV_BUDGET = "DELKIT_BUDGET"
 SWEEP_DEFAULT_MAX_M = 12
 
-VERIFY_DEFAULT_MAX_M = {
-    "clusters": 6,
-    "initials": 5,
-    "singletons": 5,
-    "lemma1": 8,
-    "lemma4": 8,
-    "identityB": 10,
-    "identityC": 10,
-    "entropy-min": 8,
-}
-
 
 def _resolve_budget(args: argparse.Namespace) -> tuple[int, bool]:
     """Effective enumeration budget and whether it was set explicitly."""
     if args.budget is not None:
-        return args.budget, True
-    env = os.environ.get(ENV_BUDGET)
-    if env is not None:
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get(ENV_BUDGET)
+        if env is None:
+            return DEFAULT_BUDGET, False
         try:
-            return int(env), True
+            budget, source = int(env), ENV_BUDGET
         except ValueError:
             raise BudgetError(f"{ENV_BUDGET}={env!r} is not an integer") from None
-    return DEFAULT_BUDGET, False
+    if budget < 0:
+        raise BudgetError(f"{source} must be nonnegative, got {budget}")
+    return budget, True
 
 
-def _fmt_float(v: float) -> str:
-    return format(v, ".17g")
-
-
-def _csv_text(
-    meta: list[tuple[str, object]], header: list[str], rows: list[list[str]]
-) -> str:
-    buf = io.StringIO()
-    for k, v in meta:
-        buf.write(f"# {k}={v}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+def _cell(v: object) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
 
 
 def _json_text(obj: object) -> str:
@@ -79,6 +64,27 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as f:
             f.write(text)
+
+
+def _emit_table(
+    args: argparse.Namespace,
+    meta: list[tuple[str, object]],
+    header: list[str],
+    rows: list,
+) -> None:
+    """CSV under ``# key=value`` lines, or JSON: the meta keys plus one row object each."""
+    if args.format == "json":
+        obj = dict(meta)
+        obj["rows"] = [dict(zip(header, row)) for row in rows]
+        _emit(_json_text(obj), args.out)
+        return
+    buf = io.StringIO()
+    for k, v in meta:
+        buf.write(f"# {k}={v}\n")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([_cell(v) for v in row] for row in rows)
+    _emit(buf.getvalue(), args.out)
 
 
 def _multiset_text(counts: dict[int, int]) -> str:
@@ -134,31 +140,17 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         ("mu", ent.mu(d.n, d.m)),
         ("upsilon", space.upsilon_size(d.n, d.m)),
     ]
-    if args.format == "json":
-        obj: dict[str, object] = {k: v for k, v in meta}
-        if args.by_cluster:
-            assert d.by_cluster is not None
-            obj["rows"] = [
-                {"cluster": c, "weight": w, "count": k}
-                for c in sorted(d.by_cluster)
-                for w, k in sorted(d.by_cluster[c].items())
-            ]
-        else:
-            obj["rows"] = [
-                {"weight": w, "count": k} for w, k in sorted(d.counts.items())
-            ]
-        _emit(_json_text(obj), args.out)
-    elif args.by_cluster:
-        assert d.by_cluster is not None
+    if d.by_cluster is not None:
+        header = ["cluster", "weight", "count"]
         rows = [
-            [str(c), str(w), str(k)]
+            (c, w, k)
             for c in sorted(d.by_cluster)
             for w, k in sorted(d.by_cluster[c].items())
         ]
-        _emit(_csv_text(meta, ["cluster", "weight", "count"], rows), args.out)
     else:
-        rows = [[str(w), str(k)] for w, k in sorted(d.counts.items())]
-        _emit(_csv_text(meta, ["weight", "count"], rows), args.out)
+        header = ["weight", "count"]
+        rows = sorted(d.counts.items())
+    _emit_table(args, meta, header, rows)
     return 0
 
 
@@ -173,37 +165,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"m={m} exceeds the sweep cap {cap}; raise --budget or {ENV_BUDGET}"
         )
     alphas = args.alpha
-    labels = [f"R_{a:g}" for a in alphas]
-    header = ["x", "n", "H"] + labels + ["Hmin"]
-    meta: list[tuple[str, object]] = [
-        ("m", m),
-        ("n", n),
-        ("alphas", ",".join(f"{a:g}" for a in alphas)),
-    ]
+    orders = [f"{a:g}" for a in alphas]
     rows = []
-    json_rows = []
     for x in _all_bits(m):
         d = ent.weight_distribution(n, x, budget=budget)
         h = ent.shannon_entropy(d)
         rs = [ent.renyi_entropy(d, a) for a in alphas]
-        hmin = ent.min_entropy(d)
-        rows.append([x, str(n), _fmt_float(h)] + [_fmt_float(v) for v in rs] + [_fmt_float(hmin)])
-        json_rows.append(
-            {
-                "x": x,
-                "n": n,
-                "H": h,
-                "R": {f"{a:g}": v for a, v in zip(alphas, rs)},
-                "Hmin": hmin,
-            }
-        )
+        rows.append((x, h, rs, ent.min_entropy(d)))
     if args.format == "json":
-        obj = {k: v for k, v in meta[:2]}
-        obj["alphas"] = list(alphas)
-        obj["rows"] = json_rows
+        obj = {"m": m, "n": n, "alphas": list(alphas)}
+        obj["rows"] = [
+            {"x": x, "n": n, "H": h, "R": dict(zip(orders, rs)), "Hmin": hmin}
+            for x, h, rs, hmin in rows
+        ]
         _emit(_json_text(obj), args.out)
-    else:
-        _emit(_csv_text(meta, header, rows), args.out)
+        return 0
+    meta = [("m", m), ("n", n), ("alphas", ",".join(orders))]
+    header = ["x", "n", "H"] + [f"R_{o}" for o in orders] + ["Hmin"]
+    table = [(x, n, h, *rs, hmin) for x, h, rs, hmin in rows]
+    _emit_table(args, meta, header, table)
     return 0
 
 
@@ -214,20 +194,13 @@ def cmd_gchain(args: argparse.Namespace) -> int:
     predict = (
         ent.predicted_weights_single if args.deletions == 1 else ent.predicted_weights_double
     )
-    chain = ent.g_chain(x)
-    entries = [(i, s, ent.shannon_entropy(predict(s))) for i, s in enumerate(chain)]
+    rows = [(i, s, ent.shannon_entropy(predict(s))) for i, s in enumerate(ent.g_chain(x))]
     meta: list[tuple[str, object]] = [
         ("x", x),
         ("deletions", args.deletions),
         ("n", len(x) + args.deletions),
     ]
-    if args.format == "json":
-        obj = {k: v for k, v in meta}
-        obj["rows"] = [{"step": i, "x": s, "H": h} for i, s, h in entries]
-        _emit(_json_text(obj), args.out)
-    else:
-        rows = [[str(i), s, _fmt_float(h)] for i, s, h in entries]
-        _emit(_csv_text(meta, ["step", "x", "H"], rows), args.out)
+    _emit_table(args, meta, ["step", "x", "H"], rows)
     return 0
 
 
@@ -352,46 +325,34 @@ def _suite_entropy_min(max_m: int) -> list[Row]:
     return rows
 
 
+# suite name -> (rows for a --max-m, default --max-m), in --help order
+SUITES = {
+    "clusters": (_suite_clusters, 6),
+    "initials": (_suite_initials, 5),
+    "singletons": (_suite_singletons, 5),
+    "lemma1": (lambda max_m: _lemma_rows(max_m, 1), 8),
+    "lemma4": (lambda max_m: _lemma_rows(max_m, 2), 8),
+    "identityB": (lambda max_m: _suite_identity(max_m, "B"), 10),
+    "identityC": (lambda max_m: _suite_identity(max_m, "C"), 10),
+    "entropy-min": (_suite_entropy_min, 8),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite = args.suite
-    max_m = args.max_m if args.max_m is not None else VERIFY_DEFAULT_MAX_M[suite]
+    suite_rows, default_max_m = SUITES[args.suite]
+    max_m = default_max_m if args.max_m is None else args.max_m
     if max_m < 0:
         raise ValueError(f"--max-m must be nonnegative, got {max_m}")
-    if suite == "clusters":
-        rows = _suite_clusters(max_m)
-    elif suite == "initials":
-        rows = _suite_initials(max_m)
-    elif suite == "singletons":
-        rows = _suite_singletons(max_m)
-    elif suite == "lemma1":
-        rows = _lemma_rows(max_m, 1)
-    elif suite == "lemma4":
-        rows = _lemma_rows(max_m, 2)
-    elif suite == "identityB":
-        rows = _suite_identity(max_m, "B")
-    elif suite == "identityC":
-        rows = _suite_identity(max_m, "C")
-    else:
-        rows = _suite_entropy_min(max_m)
+    rows = suite_rows(max_m)
     failures = sum(1 for r in rows if not r[3])
     meta: list[tuple[str, object]] = [
-        ("suite", suite),
+        ("suite", args.suite),
         ("max_m", max_m),
         ("checks", len(rows)),
         ("failures", failures),
     ]
-    if args.format == "json":
-        obj = {k: v for k, v in meta}
-        obj["rows"] = [
-            {"suite": suite, "case": c, "lhs": l, "rhs": r, "ok": ok}
-            for c, l, r, ok in rows
-        ]
-        _emit(_json_text(obj), args.out)
-    else:
-        table = [
-            [suite, c, l, r, "true" if ok else "false"] for c, l, r, ok in rows
-        ]
-        _emit(_csv_text(meta, ["suite", "case", "lhs", "rhs", "ok"], table), args.out)
+    header = ["suite", "case", "lhs", "rhs", "ok"]
+    _emit_table(args, meta, header, [(args.suite, *r) for r in rows])
     return 1 if failures else 0
 
 
@@ -446,16 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--suite",
         required=True,
-        choices=[
-            "clusters",
-            "initials",
-            "singletons",
-            "lemma1",
-            "lemma4",
-            "identityB",
-            "identityC",
-            "entropy-min",
-        ],
+        choices=list(SUITES),
         help=(
             "clusters/initials/singletons: closed forms vs enumeration; "
             "lemma1/lemma4: predicted one/two-insertion multisets vs the oracle; "

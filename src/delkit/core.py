@@ -11,6 +11,20 @@ from dataclasses import dataclass
 from itertools import groupby
 from math import comb
 
+__all__ = [
+    "BudgetError",
+    "DEFAULT_BUDGET",
+    "Mask",
+    "Rle",
+    "binomial",
+    "complement",
+    "format_mask",
+    "hamming_weight",
+    "mask_complement",
+    "multichoose",
+    "validate_bits",
+]
+
 Mask = tuple[int, ...]
 
 DEFAULT_BUDGET = 24  # max string length for exhaustive enumerations
@@ -119,28 +133,8 @@ class Rle:
         other = "1" if first == "0" else "0"
         return tuple(first if i % 2 == 0 else other for i in range(len(self.lengths)))
 
-    @classmethod
-    def parse(cls, text: str) -> "Rle":
-        """Parse the text form ``(a; k1,k2,...)``, e.g. ``(1; 6,1)``."""
-        t = text.strip()
-        if not (t.startswith("(") and t.endswith(")")) or ";" not in t:
-            raise ValueError(f"not a run-length encoding: {text!r}")
-        head, _, tail = t[1:-1].partition(";")
-        head = head.strip()
-        tail = tail.strip()
-        lengths = tuple(int(p) for p in tail.split(",")) if tail else ()
-        return cls(head if head else "0", lengths)
-
     def __str__(self) -> str:
         return f"({self.leading}; {','.join(str(k) for k in self.lengths)})"
-
-
-def rle_encode(s: str) -> Rle:
-    return Rle.encode(s)
-
-
-def rle_decode(r: Rle) -> str:
-    return r.decode()
 
 
 def format_mask(mask: Mask) -> str:

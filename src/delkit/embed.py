@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .core import Mask, binomial, check_budget, rle_encode, validate_bits
+from .core import Mask, Rle, binomial, check_budget, validate_bits
 
 __all__ = [
     "BlockMap",
@@ -160,8 +160,8 @@ def _aligned_run_lengths(y: str, x: str) -> tuple[tuple[int, ...], tuple[int, ..
 
     None when y runs out of runs, i.e. no embedding can exist.
     """
-    ry = rle_encode(y)
-    rx = rle_encode(x)
+    ry = Rle.encode(y)
+    rx = Rle.encode(x)
     ky = ry.lengths
     if ry.leading != rx.leading:
         ky = ky[1:]

@@ -25,9 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, log2
+from math import comb, isfinite, log2
 
-from .core import hamming_weight, rle_encode, validate_bits
+from .core import Rle, hamming_weight, validate_bits
 from .embed import count_embeddings_dp
 from .space import (
     cluster_size_closed,
@@ -53,8 +53,6 @@ __all__ = [
     "predicted_weights_double",
     "predicted_weights_single",
     "renyi_entropy",
-    "sanity_identity_counts_double",
-    "sanity_identity_weights_double",
     "shannon_entropy",
     "verify_g_decreases",
     "weight_distribution",
@@ -167,9 +165,11 @@ def shannon_entropy(d: WeightDistribution) -> float:
 
 
 def renyi_entropy(d: WeightDistribution, alpha: float) -> float:
-    """Renyi entropy of order alpha; alpha must be positive and not 1."""
+    """Renyi entropy of order alpha; alpha must be positive, finite and not 1."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if not isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha == 1:
         raise ValueError("alpha = 1 is the Shannon case; use shannon_entropy")
     denom = mu(d.n, d.m)
@@ -210,12 +210,12 @@ def g_transform(x: str) -> str:
     validate_bits(x)
     if not x:
         raise ValueError("g_transform needs a nonempty string")
-    r = rle_encode(x)
+    r = Rle.encode(x)
     if r.block_count <= 1:
         return x
     flipped = "1" if r.leading == "0" else "0"
     merged = (r.lengths[0] + r.lengths[1],) + r.lengths[2:]
-    return type(r)(flipped, merged).decode()
+    return Rle(flipped, merged).decode()
 
 
 def g_chain(x: str) -> list[str]:
@@ -236,7 +236,7 @@ def predicted_weights_single(x: str) -> WeightDistribution:
     weight-1 singletons.
     """
     validate_bits(x)
-    r = rle_encode(x)
+    r = Rle.encode(x)
     counts: Counter[int] = Counter()
     for k in r.lengths:
         counts[k + 1] += 1
@@ -282,7 +282,7 @@ def double_insertion_cases(x: str) -> dict[str, dict[int, int]]:
     validate_bits(x)
     if not x:
         raise ValueError("double insertion needs a nonempty string")
-    lengthen, mixed, split = _double_insertion_cases(rle_encode(x).lengths)
+    lengthen, mixed, split = _double_insertion_cases(Rle.encode(x).lengths)
     return {
         "both_lengthen": dict(sorted(lengthen.items())),
         "mixed": dict(sorted(mixed.items())),
@@ -295,7 +295,7 @@ def predicted_weights_double(x: str) -> WeightDistribution:
     validate_bits(x)
     if not x:
         raise ValueError("double insertion needs a nonempty string")
-    lengthen, mixed, split = _double_insertion_cases(rle_encode(x).lengths)
+    lengthen, mixed, split = _double_insertion_cases(Rle.encode(x).lengths)
     merged = lengthen + mixed + split
     return WeightDistribution(len(x) + 2, x, dict(sorted(merged.items())))
 
@@ -369,15 +369,3 @@ def double_weight_identity(ks) -> tuple[int, int]:
     lhs = sum(w * k for case in (lengthen, mixed, split) for w, k in case.items())
     rhs = 4 * comb(m + 2, 2)
     return lhs, rhs
-
-
-def sanity_identity_counts_double(ks) -> bool:
-    """True when the assembled double-insertion string count matches its closed form."""
-    lhs, rhs = double_count_identity(ks)
-    return lhs == rhs
-
-
-def sanity_identity_weights_double(ks) -> bool:
-    """True when the assembled double-insertion weights conserve the mask mass."""
-    lhs, rhs = double_weight_identity(ks)
-    return lhs == rhs

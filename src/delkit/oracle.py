@@ -11,7 +11,8 @@ mass formulas, which the shared histogram type checks on construction.
 oracle_weight_table is the same full-space scan vectorized with numpy (all
 2^n strings advance one position per pass); it exists because grids of
 thousands of full scans are outside pure-Python time budgets, and it is
-cross-checked against the scalar scan in the test suite.
+cross-checked against the scalar scan in the test suite.  It is the only
+user of numpy, which it imports on first call.
 """
 from __future__ import annotations
 
@@ -20,9 +21,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb, log2
 
-import numpy as np
-
-from .core import BudgetError, Mask
+from .core import DEFAULT_BUDGET, BudgetError, Mask
 from .entropy import EntropyReport, WeightDistribution
 
 __all__ = [
@@ -45,7 +44,7 @@ class OracleBudget:
     index-subset iteration.
     """
 
-    max_n: int = 24
+    max_n: int = DEFAULT_BUDGET
     max_scan_n: int = 14
     max_subsets: int = 2_000_000
 
@@ -169,14 +168,12 @@ def index_to_string(i: int, n: int) -> str:
     return format(i, f"0{n}b") if n else ""
 
 
-def oracle_weight_table(
-    n: int, x: str, budget: OracleBudget | None = None
-) -> np.ndarray:
+def oracle_weight_table(n: int, x: str, budget: OracleBudget | None = None):
     """Weights of every y in {0,1}^n at once, indexed per index_to_string.
 
     A vectorized rendering of the oracle_space scan: one pass per position of
-    y, advancing all 2^n strings together.  Values are bounded by C(n, |x|),
-    far inside int64 for any n within budget.
+    y, advancing all 2^n strings together.  Returns a numpy int64 array;
+    values are bounded by C(n, |x|), far inside int64 for any n within budget.
     """
     b = budget or DEFAULT_ORACLE_BUDGET
     if n > b.max_n:
@@ -184,6 +181,8 @@ def oracle_weight_table(
     m = len(x)
     if (m + 1) << n > 1 << 26:
         raise BudgetError(f"scan table for n={n}, |x|={m} exceeds the memory guard")
+    import numpy as np
+
     size = 1 << n
     ids = np.arange(size, dtype=np.int64)
     xb = np.array([1 if c == "1" else 0 for c in x], dtype=np.int64)

@@ -21,11 +21,11 @@ from typing import Iterator
 
 from .core import (
     Mask,
+    Rle,
     binomial,
     check_budget,
     hamming_weight,
     multichoose,
-    rle_encode,
     validate_bits,
 )
 
@@ -35,7 +35,6 @@ __all__ = [
     "cluster_size_recursive",
     "cluster_size_simple",
     "composition_slots",
-    "enumerate_singletons",
     "enumerate_supersequences",
     "initial_mask",
     "is_maximal_initial",
@@ -236,7 +235,7 @@ def run_slots(x: str) -> RunSlots:
     validate_bits(x)
     if not x:
         raise ValueError("run_slots needs a nonempty string")
-    r = rle_encode(x)
+    r = Rle.encode(x)
     slots = composition_slots(r.lengths)
     rho = {"0": 0, "1": 0}
     for sym, s in zip(r.symbols(), slots):
@@ -277,8 +276,3 @@ def singleton_cluster_count(n: int, x: str, c: int) -> int:
         return binomial(n, c)
     rs = run_slots(x)
     return multichoose(n - m - c, rs.rho1) * multichoose(c, rs.rho0)
-
-
-def enumerate_singletons(n: int, x: str, budget: int | None = None) -> list[str]:
-    """All weight-1 supersequences of x at length n, in lex order."""
-    return [y for y, w in enumerate_supersequences(n, x, budget) if w == 1]

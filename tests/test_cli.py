@@ -172,6 +172,32 @@ def test_sweep_rejects_bad_alpha(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_sweep_rejects_non_finite_alpha(capsys, alpha):
+    code, out, err = run(
+        capsys, "sweep", "--m", "2", "--n", "3", "--alpha", alpha, "--format", "json"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: alpha must be finite, got {alpha}\n"
+
+
+def test_negative_budget_flag_is_refused(capsys):
+    code, out, err = run(capsys, "count", "--y", "11", "--x", "1", "--budget", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --budget must be nonnegative, got -1\n"
+
+
+def test_negative_budget_env_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("DELKIT_BUDGET", "-3")
+    code, out, err = run(capsys, "distribution", "--x", "1", "--n", "3")
+    assert code == 2 and out == ""
+    assert err == "error: DELKIT_BUDGET must be nonnegative, got -3\n"
+    # zero is a budget, not a refusal: it only admits n = 0
+    monkeypatch.setenv("DELKIT_BUDGET", "0")
+    code, out, _ = run(capsys, "distribution", "--x", "", "--n", "0")
+    assert code == 0 and out.endswith("weight,count\n1,1\n")
+
+
 def test_gchain_golden(capsys):
     code, out, _ = run(capsys, "gchain", "--x", "101010", "--deletions", "2")
     assert code == 0
@@ -250,3 +276,12 @@ def test_module_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout == "3\n"
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, delkit.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delkit.core import complement, rle_encode
+from delkit.core import Rle, complement
 from delkit.embed import (
     BlockMap,
     block_map_weights,
@@ -145,14 +145,14 @@ def test_block_map_weights_partition_the_masks():
     # the per-map weights must reproduce the tag counts exactly
     for y in all_bits(8):
         for x in ("1", "10", "110", "0101"):
-            if rle_encode(y).leading != rle_encode(x).leading and y:
+            if Rle.encode(y).leading != Rle.encode(x).leading and y:
                 continue
             run_of = []
             for i, ch in enumerate(y):
                 run_of.append(1 if i == 0 else run_of[-1] + (y[i] != y[i - 1]))
             ends = []
             total = 0
-            for k in rle_encode(x).lengths:
+            for k in Rle.encode(x).lengths:
                 total += k
                 ends.append(total - 1)
             tags = {}
@@ -187,9 +187,9 @@ def test_same_run_count_gives_a_product_formula():
     import math
 
     for y in all_bits(9):
-        ry = rle_encode(y)
+        ry = Rle.encode(y)
         for x in all_bits(4):
-            rx = rle_encode(x)
+            rx = Rle.encode(x)
             if not x or rx.leading != ry.leading or rx.block_count != ry.block_count:
                 continue
             want = math.prod(

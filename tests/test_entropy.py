@@ -21,8 +21,6 @@ from delkit.entropy import (
     predicted_weights_double,
     predicted_weights_single,
     renyi_entropy,
-    sanity_identity_counts_double,
-    sanity_identity_weights_double,
     shannon_entropy,
     verify_g_decreases,
     weight_distribution,
@@ -130,6 +128,9 @@ def test_renyi_entropy_validation_and_golden():
         renyi_entropy(d, -2.0)
     with pytest.raises(ValueError):
         renyi_entropy(d, 1)
+    for alpha in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            renyi_entropy(d, alpha)
     want_r2 = -log2(sum(c * (w / 40) ** 2 for w, c in d.counts.items()))
     assert abs(renyi_entropy(d, 2.0) - want_r2) < 1e-12
 
@@ -180,12 +181,12 @@ def test_g_transform_golden():
 
 @given(bits)
 def test_g_transform_preserves_length_and_drops_a_run(x):
-    from delkit.core import rle_encode
+    from delkit.core import Rle
 
     gx = g_transform(x)
     assert len(gx) == len(x)
-    ell = rle_encode(x).block_count
-    assert rle_encode(gx).block_count == max(ell - 1, 1)
+    ell = Rle.encode(x).block_count
+    assert Rle.encode(gx).block_count == max(ell - 1, 1)
 
 
 def test_g_chain_golden():
@@ -277,8 +278,10 @@ def test_identity_golden_values():
 def test_identities_hold_for_all_small_compositions():
     for m in range(1, 11):
         for ks in compositions(m):
-            assert sanity_identity_counts_double(ks), ks
-            assert sanity_identity_weights_double(ks), ks
+            lhs, rhs = double_count_identity(ks)
+            assert lhs == rhs, ks
+            lhs, rhs = double_weight_identity(ks)
+            assert lhs == rhs, ks
 
 
 @settings(max_examples=150, deadline=None)
