@@ -189,6 +189,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_gchain(args: argparse.Namespace) -> int:
     x = validate_bits(args.x)
+    _resolve_budget(args)
     if not x:
         raise ValueError("gchain needs a nonempty string")
     predict = (
@@ -339,6 +340,7 @@ SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _resolve_budget(args)
     suite_rows, default_max_m = SUITES[args.suite]
     max_m = default_max_m if args.max_m is None else args.max_m
     if max_m < 0:

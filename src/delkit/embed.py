@@ -17,12 +17,21 @@ Such maps are exactly the strictly increasing, parity-preserving sequences
 (f(i) = i mod 2), and the masks inducing a given f factor per run of x: run i
 draws its k'_i symbols from the same-parity runs of y in (f(i-1), f(i)], with
 at least one symbol landing in run f(i) itself.
+
+Each factor depends only on the pair (f(i-1), f(i)), so the sum over maps is
+a chain sum over map images: after i runs of x, chain[v] holds the summed
+weight of the maps of those runs with f(i) = v.  Only images that leave room
+for the remaining runs, i <= v <= l - (lp - i), are kept, which makes the
+route O(lp * band^2) exact integer steps with lp runs of x, l aligned runs of
+y and band = (l - lp) / 2 + 1, instead of one step per map.  The maps
+themselves are enumerated only where they are the output
+(enumerate_block_maps, block_map_weights).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
+from typing import Iterator
 
 from .core import Mask, Rle, binomial, check_budget, validate_bits
 
@@ -124,28 +133,23 @@ class BlockMap:
         return 0 if i == 0 else self.images[i - 1]
 
 
-@lru_cache(maxsize=None)
-def _block_map_images(lp: int, l: int) -> tuple[tuple[int, ...], ...]:
-    if lp == 0:
-        return ((),)
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def extend(i: int) -> None:
-        if i > lp:
-            out.append(tuple(prefix))
+def _block_map_images(lp: int, l: int) -> Iterator[tuple[int, ...]]:
+    """Images of the maps counted by sigma_count(lp, l), lazily, in lex order."""
+    if l < lp:
+        return
+    f = list(range(1, lp + 1))
+    while True:
+        yield tuple(f)
+        # lex successor: raise the last image that still leaves room for the
+        # runs after it, then put those as low as parity allows
+        i = lp - 1
+        while i >= 0 and f[i] + 2 > l - (lp - 1 - i):
+            i -= 1
+        if i < 0:
             return
-        start = prefix[-1] + 1 if prefix else 1
-        if (start - i) % 2:
-            start += 1
-        # f must still reach l with lp - i more strict increases
-        for v in range(start, l - (lp - i) + 1, 2):
-            prefix.append(v)
-            extend(i + 1)
-            prefix.pop()
-
-    extend(1)
-    return tuple(out)
+        f[i] += 2
+        for j in range(i + 1, lp):
+            f[j] = f[j - 1] + 1
 
 
 def enumerate_block_maps(lp: int, l: int) -> list[BlockMap]:
@@ -187,7 +191,11 @@ def _map_weight(ky: tuple[int, ...], kx: tuple[int, ...], images: tuple[int, ...
 
 
 def count_embeddings_runs(y: str, x: str) -> int:
-    """Number of embeddings of x in y, by the run-length route."""
+    """Number of embeddings of x in y, by the run-length route.
+
+    A chain sum over the images f(1), ..., f(lp) of the block maps, one step
+    per run of x; see the module docstring.
+    """
     validate_bits(y)
     validate_bits(x)
     if not x:
@@ -198,7 +206,31 @@ def count_embeddings_runs(y: str, x: str) -> int:
     if aligned is None:
         return 0
     ky, kx = aligned
-    return sum(_map_weight(ky, kx, images) for images in _block_map_images(len(kx), len(ky)))
+    lp, l = len(kx), len(ky)
+    # q[v + 1] = ky[v-1] + ky[v-3] + ..., so the same-parity runs of y in
+    # (u, v] hold q[v + 1] - q[u] symbols
+    q = [0] * (l + 2)
+    for v in range(1, l + 1):
+        q[v + 1] = q[v - 1] + ky[v - 1]
+    chain = {0: 1}
+    for i, need in enumerate(kx, start=1):
+        nxt = {}
+        for v in range(i, l - (lp - i) + 1, 2):
+            top, last = q[v + 1], ky[v - 1]
+            total = 0
+            for u, w in chain.items():
+                if u >= v:
+                    break
+                avail = top - q[u]
+                if avail < need:  # and less still for every larger u
+                    break
+                total += w * (comb(avail, need) - comb(avail - last, need))
+            if total:
+                nxt[v] = total
+        if not nxt:
+            return 0
+        chain = nxt
+    return sum(chain.values())
 
 
 def block_map_weights(y: str, x: str) -> list[tuple[BlockMap, int]]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, log2
+from math import comb, isfinite, log2
 
 from .core import DEFAULT_BUDGET, BudgetError, Mask
 from .entropy import EntropyReport, WeightDistribution
@@ -145,8 +145,8 @@ def oracle_entropy(
     independent of the closed-form mask mass.
     """
     for a in alphas:
-        if a <= 0 or a == 1:
-            raise ValueError(f"alpha must be positive and not 1, got {a}")
+        if a <= 0 or a == 1 or not isfinite(a):
+            raise ValueError(f"alpha must be positive, finite and not 1, got {a}")
     sp = oracle_space(n, x, budget=budget)
     total = sum(sp.weights.values())
     shannon = 0.0

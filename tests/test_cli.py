@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from delkit.cli import main
+from delkit.embed import count_embeddings_dp
 
 GOLDEN_DIST_110 = """\
 # x=110
@@ -52,6 +53,14 @@ def test_count_runs_method(capsys):
         capsys, "count", "--y", "0000111100001111", "--x", "0011", "--method", "runs"
     )
     assert code == 0 and out == "300\n"
+
+
+def test_count_runs_method_is_polynomial(capsys):
+    # 193,536,720 block maps: the chain sum never lists them
+    y, x = "01" * 22, "01" * 11
+    code, out, _ = run(capsys, "count", "--y", y, "--x", x, "--method", "runs")
+    assert code == 0
+    assert out == f"{count_embeddings_dp(y, x)}\n"
 
 
 def test_count_oracle_method(capsys):
@@ -196,6 +205,30 @@ def test_negative_budget_env_is_refused(capsys, monkeypatch):
     monkeypatch.setenv("DELKIT_BUDGET", "0")
     code, out, _ = run(capsys, "distribution", "--x", "", "--n", "0")
     assert code == 0 and out.endswith("weight,count\n1,1\n")
+
+
+def test_gchain_budget_is_checked(capsys, monkeypatch):
+    code, out, err = run(capsys, "gchain", "--x", "10", "--budget", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: --budget must be nonnegative, got -5\n"
+    monkeypatch.setenv("DELKIT_BUDGET", "abc")
+    code, out, err = run(capsys, "gchain", "--x", "10")
+    assert code == 2 and out == ""
+    assert err == "error: DELKIT_BUDGET='abc' is not an integer\n"
+
+
+def test_verify_budget_is_checked(capsys, monkeypatch):
+    argv = ("verify", "--suite", "identityB", "--max-m", "1")
+    code, out, err = run(capsys, *argv, "--budget", "-2")
+    assert code == 2 and out == ""
+    assert err == "error: --budget must be nonnegative, got -2\n"
+    monkeypatch.setenv("DELKIT_BUDGET", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: DELKIT_BUDGET='abc' is not an integer\n"
+    monkeypatch.setenv("DELKIT_BUDGET", "3")
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
 
 
 def test_gchain_golden(capsys):

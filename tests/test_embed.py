@@ -176,6 +176,39 @@ def test_runs_equals_dp_random(y, x):
     assert count_embeddings_runs(y, x) == count_embeddings_dp(y, x)
 
 
+@st.composite
+def deletion_pairs(draw):
+    """A y of length <= 60 and an x made by deleting drawn positions of y."""
+    y = draw(st.text(alphabet="01", max_size=60))
+    keep = draw(st.lists(st.booleans(), min_size=len(y), max_size=len(y)))
+    return y, "".join(c for c, k in zip(y, keep) if k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(deletion_pairs())
+def test_runs_equals_dp_long_random(pair):
+    y, x = pair
+    assert count_embeddings_runs(y, x) == count_embeddings_dp(y, x)
+
+
+@pytest.mark.parametrize("reps", [22, 200])
+def test_runs_is_polynomial_on_alternating_strings(reps):
+    # sigma_count(reps, 2 * reps) block maps: 193,536,720 at reps = 22; the
+    # chain sum visits O(reps^3) image pairs instead
+    y, x = "01" * reps, "01" * (reps // 2)
+    assert count_embeddings_runs(y, x) == count_embeddings_dp(y, x)
+
+
+def test_block_map_weights_sum_to_the_chain():
+    # per-map enumeration is the independent check on the chain sum
+    for n in range(0, 9):
+        for y in all_bits(n):
+            for m in range(0, min(n, 5) + 1):
+                for x in all_bits(m):
+                    total = sum(w for _, w in block_map_weights(y, x))
+                    assert total == count_embeddings_runs(y, x)
+
+
 @given(bits, bits)
 def test_count_is_complement_invariant(y, x):
     assert count_embeddings_dp(y, x) == count_embeddings_dp(complement(y), complement(x))

@@ -114,3 +114,9 @@ def test_oracle_entropy_golden():
     assert abs(uni.min_entropy - 4.0) < 1e-12
     with pytest.raises(ValueError):
         oracle_entropy(4, "1", alphas=(1.0,))
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+def test_oracle_entropy_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match=f"alpha.*got {alpha}"):
+        oracle_entropy(3, "1", alphas=(2.0, alpha))
