@@ -4,7 +4,8 @@ An embedding of x in y is a strictly increasing choice of |x| positions of y
 whose projection spells x; the number of embeddings is the weight of y as a
 supersequence of x.  Three independent routes compute it:
 
-* a dynamic program over prefix pairs (the workhorse),
+* a dynamic program over prefix pairs, restricted to the prefixes of x that
+  can still complete (the workhorse),
 * explicit enumeration of the position masks themselves,
 * a run-length route that groups masks by which run of y hosts the last
   symbol of each run of x.
@@ -24,11 +25,14 @@ weight of the maps of those runs with f(i) = v.  Only images that leave room
 for the remaining runs, i <= v <= l - (lp - i), are kept, which makes the
 route O(lp * band^2) exact integer steps with lp runs of x, l aligned runs of
 y and band = (l - lp) / 2 + 1, instead of one step per map.  The maps
-themselves are enumerated only where they are the output
-(enumerate_block_maps, block_map_weights).
+themselves are enumerated only where they are the output: all of them in
+enumerate_block_maps, and in block_map_weights only those of nonzero weight,
+by a depth-first walk over image prefixes that drops a prefix as soon as one
+of its factors is 0.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -49,24 +53,33 @@ __all__ = [
 def count_embeddings_dp(y: str, x: str) -> int:
     """Number of embeddings of x in y, by dynamic programming.
 
-    One pass over y with a rolling table indexed by prefixes of x; O(|y||x|)
-    time, O(|x|) space, exact ints throughout.
+    One pass over y with a rolling table indexed by prefixes of x, updated
+    only on the live band: after i + 1 symbols of y, a prefix of length j can
+    still grow into x only if i + 1 - d <= j <= i + 1, with d = |y| - |x|
+    deletions (longer prefixes are still 0; shorter ones are never read
+    again, since the remaining symbols could not finish x).  The band is
+    d + 1 wide, so O(|y| (|y| - |x| + 1)) time, O(|x|) space, exact ints
+    throughout.
     """
     validate_bits(y)
     validate_bits(x)
     m = len(x)
     if m == 0:
         return 1
-    if len(y) < m:
+    d = len(y) - m
+    if d < 0:
         return 0
-    # counts[j] = embeddings of x[:j] in the scanned prefix of y; update
-    # descending so each y symbol is used at most once per embedding
+    # counts[j] = embeddings of x[:j] in the scanned prefix of y; live[c]
+    # holds the band's prefixes j with x[j-1] == c, descending, so each y
+    # symbol is used at most once per embedding
     counts = [1] + [0] * m
-    hits = {"0": [], "1": []}
-    for j in range(m, 0, -1):
-        hits[x[j - 1]].append(j)
-    for ch in y:
-        for j in hits[ch]:
+    live = {"0": deque(), "1": deque()}
+    for i, ch in enumerate(y):
+        if i < m:
+            live[x[i]].appendleft(i + 1)
+        if i > d:
+            live[x[i - d - 1]].pop()
+        for j in live[ch]:
             counts[j] += counts[j - 1]
     return counts[m]
 
@@ -174,20 +187,13 @@ def _aligned_run_lengths(y: str, x: str) -> tuple[tuple[int, ...], tuple[int, ..
     return ky, rx.lengths
 
 
-def _map_weight(ky: tuple[int, ...], kx: tuple[int, ...], images: tuple[int, ...]) -> int:
-    w = 1
-    prev = 0
-    for i, fi in enumerate(images):
-        # symbols available to run i of x: same-parity runs of y in (prev, fi]
-        avail = 0
-        for j in range(prev + 1, fi + 1, 2):
-            avail += ky[j - 1]
-        need = kx[i]
-        w *= comb(avail, need) - comb(avail - ky[fi - 1], need)
-        if w == 0:
-            return 0
-        prev = fi
-    return w
+def _parity_sums(ky: tuple[int, ...]) -> list[int]:
+    """q[v + 1] = ky[v-1] + ky[v-3] + ..., so the same-parity runs of y in
+    (u, v] hold q[v + 1] - q[u] symbols."""
+    q = [0] * (len(ky) + 2)
+    for v in range(1, len(ky) + 1):
+        q[v + 1] = q[v - 1] + ky[v - 1]
+    return q
 
 
 def count_embeddings_runs(y: str, x: str) -> int:
@@ -207,11 +213,7 @@ def count_embeddings_runs(y: str, x: str) -> int:
         return 0
     ky, kx = aligned
     lp, l = len(kx), len(ky)
-    # q[v + 1] = ky[v-1] + ky[v-3] + ..., so the same-parity runs of y in
-    # (u, v] hold q[v + 1] - q[u] symbols
-    q = [0] * (l + 2)
-    for v in range(1, l + 1):
-        q[v + 1] = q[v - 1] + ky[v - 1]
+    q = _parity_sums(ky)
     chain = {0: 1}
     for i, need in enumerate(kx, start=1):
         nxt = {}
@@ -249,9 +251,24 @@ def block_map_weights(y: str, x: str) -> list[tuple[BlockMap, int]]:
     if aligned is None:
         return []
     ky, kx = aligned
+    lp, l = len(kx), len(ky)
+    q = _parity_sums(ky)
     out = []
-    for images in _block_map_images(len(kx), len(ky)):
-        w = _map_weight(ky, kx, images)
-        if w:
+    # depth-first over image prefixes in lex order: (images, weight so far)
+    stack: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    while stack:
+        images, w = stack.pop()
+        i = len(images)
+        if i == lp:
             out.append((BlockMap(images), w))
+            continue
+        prev = images[-1] if images else 0
+        need = kx[i]
+        children = []
+        for v in range(prev + 1, l - (lp - i - 1) + 1, 2):
+            avail = q[v + 1] - q[prev]
+            factor = comb(avail, need) - comb(avail - ky[v - 1], need)
+            if factor:
+                children.append((images + (v,), w * factor))
+        stack.extend(reversed(children))
     return out

@@ -176,6 +176,13 @@ def renyi_entropy(d: WeightDistribution, alpha: float) -> float:
     s = 0.0
     for w in sorted(d.counts):
         s += d.counts[w] * (w / denom) ** alpha
+    if s == 0.0:
+        # every term underflowed (large alpha): factor out the largest weight,
+        # whose term is then 1, and add its share back in the log domain;
+        # alpha / (1 - alpha) keeps alpha * log2(...) from overflowing
+        top = max(d.counts)
+        s = sum(d.counts[w] * (w / top) ** alpha for w in sorted(d.counts))
+        return alpha / (1 - alpha) * (log2(top) - log2(denom)) + log2(s) / (1 - alpha)
     return log2(s) / (1 - alpha)
 
 

@@ -153,11 +153,16 @@ def oracle_entropy(
     for w in sp.weights.values():
         p = w / total
         shannon -= p * log2(p)
+    top = max(sp.weights.values())
     renyi = {}
     for a in alphas:
         s = sum((w / total) ** a for w in sp.weights.values())
-        renyi[a] = log2(s) / (1 - a)
-    top = max(sp.weights.values())
+        if s == 0.0:
+            # every term underflowed: sum relative to the top weight instead
+            s = sum((w / top) ** a for w in sp.weights.values())
+            renyi[a] = a / (1 - a) * log2(top / total) + log2(s) / (1 - a)
+        else:
+            renyi[a] = log2(s) / (1 - a)
     return EntropyReport(shannon=shannon, renyi=renyi, min_entropy=-log2(top / total))
 
 

@@ -61,7 +61,10 @@ def enumerate_supersequences(
 
     Depth-first walk over y prefixes carrying the embedding-count table for
     x's prefixes, pruning any prefix that cannot fit the unmatched tail of x
-    into the remaining positions.
+    into the remaining positions.  A child at depth L + 1 updates only the
+    live band of the table: prefixes j of x with L + 1 - (n - |x|) <= j <=
+    L + 1, the ones that can still grow into x in the positions left (entries
+    below the band are never read again, entries above it are still 0).
     """
     validate_bits(x)
     if n < 0:
@@ -70,22 +73,29 @@ def enumerate_supersequences(
     m = len(x)
     if m > n:
         return
+    d = n - m
+    # live[L][bit]: the band's j with x[j-1] == bit at depth L, descending,
+    # so each symbol of y is used at most once per embedding
+    live = []
+    for depth in range(n):
+        band = range(min(m, depth + 1), max(0, depth - d), -1)
+        live.append({bit: [j for j in band if x[j - 1] == bit] for bit in "01"})
     # stack entries: (prefix, counts table, greedily matched symbols)
     stack: list[tuple[str, tuple[int, ...], int]] = [("", (1,) + (0,) * m, 0)]
     while stack:
         prefix, counts, matched = stack.pop()
-        if len(prefix) == n:
+        depth = len(prefix)
+        if depth == n:
             yield prefix, counts[m]
             continue
-        room = n - len(prefix) - 1
+        room = n - depth - 1
         for bit in ("1", "0"):
             grown = matched + 1 if matched < m and x[matched] == bit else matched
             if m - grown > room:
                 continue
             nxt = list(counts)
-            for j in range(m, 0, -1):
-                if x[j - 1] == bit:
-                    nxt[j] += nxt[j - 1]
+            for j in live[depth][bit]:
+                nxt[j] += nxt[j - 1]
             stack.append((prefix + bit, tuple(nxt), grown))
 
 

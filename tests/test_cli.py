@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -188,6 +189,17 @@ def test_sweep_rejects_non_finite_alpha(capsys, alpha):
     )
     assert code == 2 and out == ""
     assert err == f"error: alpha must be finite, got {alpha}\n"
+
+
+@pytest.mark.parametrize("alpha", ["1000", "2000"])
+def test_sweep_large_alpha_is_finite(capsys, alpha):
+    code, out, err = run(capsys, "sweep", "--m", "2", "--n", "3", "--alpha", alpha)
+    assert code == 0 and err == ""
+    _, header, rows = parse_csv(out)
+    assert header == ["x", "n", "H", f"R_{alpha}", "Hmin"]
+    for row in rows:
+        r, hmin = float(row[3]), float(row[4])
+        assert math.isfinite(r) and hmin - 1e-12 <= r <= hmin + 0.01
 
 
 def test_negative_budget_flag_is_refused(capsys):

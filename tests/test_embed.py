@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from delkit.embed import (
     enumerate_masks,
     sigma_count,
 )
+from delkit.oracle import oracle_count
 
 bits = st.text(alphabet="01", max_size=20)
 
@@ -68,6 +70,29 @@ def test_worked_example_300():
         ((1, 4), 132),
         ((3, 4), 132),
     ]
+
+
+def subset_tally(y):
+    """oracle_count for every x at once: each index subset of y, tallied by
+    the string it spells."""
+    tally = {}
+    for keep in product((0, 1), repeat=len(y)):
+        s = "".join(compress(y, keep))
+        tally[s] = tally.get(s, 0) + 1
+    return tally
+
+
+def test_dp_equals_oracle_exhaustive():
+    # every y with |y| <= 9 against every x with |x| <= |y| + 1: covers no
+    # deletions (d = 0), the empty x and x longer than y
+    for n in range(0, 10):
+        for y in all_bits(n):
+            tally = subset_tally(y)
+            if n <= 6:
+                assert tally == {x: oracle_count(y, x) for x in tally}
+            for m in range(0, n + 2):
+                for x in all_bits(m):
+                    assert count_embeddings_dp(y, x) == tally.get(x, 0), (y, x)
 
 
 def test_masks_golden():
@@ -187,6 +212,41 @@ def deletion_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(deletion_pairs())
 def test_runs_equals_dp_long_random(pair):
+    y, x = pair
+    assert count_embeddings_runs(y, x) == count_embeddings_dp(y, x)
+
+
+def long_runs(rnd, n):
+    """A length-n string of alternating runs, each 6 to 12 long but the
+    last, which is cut at n."""
+    y = ""
+    while len(y) < n:
+        y += ("1" if y.endswith("0") else "0") * rnd.randint(6, 12)
+    return y[:n]
+
+
+def test_runs_equals_dp_long_pair():
+    # the pairs-long shape: runs of 6 to 12, a quarter of positions
+    # deleted, so x keeps every run of y and the dp band is |y| / 4 + 1 wide
+    y = long_runs(random.Random(2000), 2000)
+    x = "".join(c for i, c in enumerate(y) if i % 4 != 3)
+    assert len(x) == 1500
+    assert Rle.encode(x).block_count == Rle.encode(y).block_count
+    assert count_embeddings_runs(y, x) == count_embeddings_dp(y, x)
+
+
+@st.composite
+def long_run_pairs(draw):
+    """A long_runs y of length <= 300, x by deleting drawn positions."""
+    n = draw(st.integers(min_value=0, max_value=300))
+    y = long_runs(random.Random(draw(st.integers(min_value=0))), n)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return y, "".join(compress(y, keep))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_run_pairs())
+def test_runs_equals_dp_long_runs_random(pair):
     y, x = pair
     assert count_embeddings_runs(y, x) == count_embeddings_dp(y, x)
 

@@ -151,6 +151,20 @@ def test_entropy_ordering_min_le_renyi_le_shannon():
             assert r2 <= h + 1e-12
 
 
+def test_renyi_entropy_at_large_alpha_stays_between_min_and_r2():
+    # (w / mu) ** 2000 underflows to 0.0 for all but the point masses; the
+    # order-2000 value must still sit between min-entropy and collision entropy
+    for m in range(1, 6):
+        for x in all_bits(m):
+            for n in (m, m + 1, m + 3):
+                d = weight_distribution(n, x)
+                r = renyi_entropy(d, 2000.0)
+                assert min_entropy(d) - 1e-12 <= r <= renyi_entropy(d, 2.0) + 1e-12
+    # exact at the extremes: point mass and uniform posterior
+    assert renyi_entropy(weight_distribution(3, "010"), 2000.0) == 0.0
+    assert abs(renyi_entropy(weight_distribution(3, ""), 1e308) - 3.0) < 1e-12
+
+
 def test_entropy_report_bundles_measures():
     d = weight_distribution(5, "110")
     rep = entropy_report(d, alphas=(0.5, 2.0))

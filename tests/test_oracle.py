@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from delkit.core import BudgetError
+from delkit.entropy import renyi_entropy, weight_distribution
 from delkit.oracle import (
     OracleBudget,
     index_to_string,
@@ -120,3 +121,12 @@ def test_oracle_entropy_golden():
 def test_oracle_entropy_rejects_non_finite_alpha(alpha):
     with pytest.raises(ValueError, match=f"alpha.*got {alpha}"):
         oracle_entropy(3, "1", alphas=(2.0, alpha))
+
+
+def test_oracle_entropy_agrees_at_large_alpha():
+    # (w / total) ** 2000 underflows to 0.0 for every string of these spaces
+    for n, x in ((5, "110"), (8, "0110"), (10, "0101100")):
+        rep = oracle_entropy(n, x, alphas=(2000.0,))
+        want = renyi_entropy(weight_distribution(n, x), 2000.0)
+        assert abs(rep.renyi[2000.0] - want) < 1e-9
+        assert rep.min_entropy - 1e-12 <= rep.renyi[2000.0]
