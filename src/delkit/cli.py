@@ -22,7 +22,7 @@ from itertools import product
 
 from . import entropy as ent
 from . import oracle, space
-from .core import DEFAULT_BUDGET, BudgetError, format_mask, validate_bits
+from .core import DEFAULT_BUDGET, BudgetError, check_budget, format_mask, validate_bits
 from .embed import count_embeddings_dp, count_embeddings_runs, enumerate_masks
 
 ENV_BUDGET = "DELKIT_BUDGET"
@@ -115,7 +115,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     elif args.method == "runs":
         w = count_embeddings_runs(y, x)
     else:
-        w = oracle.oracle_count(y, x)
+        w = oracle.oracle_count(y, x, oracle.OracleBudget(max_n=budget))
     masks = enumerate_masks(y, x, budget) if args.masks else None
     if args.format == "json":
         obj: dict[str, object] = {"y": y, "x": x, "method": args.method, "omega": w}
@@ -340,11 +340,12 @@ SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _resolve_budget(args)
+    budget, _ = _resolve_budget(args)
     suite_rows, default_max_m = SUITES[args.suite]
     max_m = default_max_m if args.max_m is None else args.max_m
     if max_m < 0:
         raise ValueError(f"--max-m must be nonnegative, got {max_m}")
+    check_budget(max_m, budget, "--max-m")
     rows = suite_rows(max_m)
     failures = sum(1 for r in rows if not r[3])
     meta: list[tuple[str, object]] = [

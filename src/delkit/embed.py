@@ -25,17 +25,17 @@ weight of the maps of those runs with f(i) = v.  Only images that leave room
 for the remaining runs, i <= v <= l - (lp - i), are kept, which makes the
 route O(lp * band^2) exact integer steps with lp runs of x, l aligned runs of
 y and band = (l - lp) / 2 + 1, instead of one step per map.  The maps
-themselves are enumerated only where they are the output: all of them in
-enumerate_block_maps, and in block_map_weights only those of nonzero weight,
-by a depth-first walk over image prefixes that drops a prefix as soon as one
-of its factors is 0.
+themselves are enumerated only where they are the output, by one
+depth-first walk over image prefixes that drops a prefix as soon as one of
+its factors is 0: with unit factors in enumerate_block_maps (all maps), and
+with the chain's factors in block_map_weights (the maps of nonzero weight).
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import Mask, Rle, binomial, check_budget, validate_bits
 
@@ -146,30 +146,38 @@ class BlockMap:
         return 0 if i == 0 else self.images[i - 1]
 
 
-def _block_map_images(lp: int, l: int) -> Iterator[tuple[int, ...]]:
-    """Images of the maps counted by sigma_count(lp, l), lazily, in lex order."""
-    if l < lp:
-        return
-    f = list(range(1, lp + 1))
-    while True:
-        yield tuple(f)
-        # lex successor: raise the last image that still leaves room for the
-        # runs after it, then put those as low as parity allows
-        i = lp - 1
-        while i >= 0 and f[i] + 2 > l - (lp - 1 - i):
-            i -= 1
-        if i < 0:
-            return
-        f[i] += 2
-        for j in range(i + 1, lp):
-            f[j] = f[j - 1] + 1
+def _walk_images(
+    lp: int, l: int, factor: Callable[[int, int, int], int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Images of the maps counted by sigma_count(lp, l), lazily, in lex order.
+
+    Yields (images, weight), the weight being the product of
+    factor(i, f(i), f(i + 1)) over the steps i = 0, ..., lp - 1 (f(0) = 0).
+    A prefix whose step factor is 0 is dropped with all its extensions.
+    """
+    # depth first over image prefixes: (images, weight so far)
+    stack: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    while stack:
+        images, w = stack.pop()
+        i = len(images)
+        if i == lp:
+            yield images, w
+            continue
+        prev = images[-1] if images else 0
+        children = []
+        # leave room for the runs after this one
+        for v in range(prev + 1, l - (lp - i - 1) + 1, 2):
+            step = factor(i, prev, v)
+            if step:
+                children.append((images + (v,), w * step))
+        stack.extend(reversed(children))
 
 
 def enumerate_block_maps(lp: int, l: int) -> list[BlockMap]:
     """All maps counted by sigma_count(lp, l), in lexicographic order."""
     if lp < 0 or l < 0:
         raise ValueError("run counts must be nonnegative")
-    return [BlockMap(images) for images in _block_map_images(lp, l)]
+    return [BlockMap(images) for images, _ in _walk_images(lp, l, lambda i, u, v: 1)]
 
 
 def _aligned_run_lengths(y: str, x: str) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -251,24 +259,12 @@ def block_map_weights(y: str, x: str) -> list[tuple[BlockMap, int]]:
     if aligned is None:
         return []
     ky, kx = aligned
-    lp, l = len(kx), len(ky)
     q = _parity_sums(ky)
-    out = []
-    # depth-first over image prefixes in lex order: (images, weight so far)
-    stack: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    while stack:
-        images, w = stack.pop()
-        i = len(images)
-        if i == lp:
-            out.append((BlockMap(images), w))
-            continue
-        prev = images[-1] if images else 0
-        need = kx[i]
-        children = []
-        for v in range(prev + 1, l - (lp - i - 1) + 1, 2):
-            avail = q[v + 1] - q[prev]
-            factor = comb(avail, need) - comb(avail - ky[v - 1], need)
-            if factor:
-                children.append((images + (v,), w * factor))
-        stack.extend(reversed(children))
-    return out
+
+    def factor(i: int, u: int, v: int) -> int:
+        avail = q[v + 1] - q[u]
+        return comb(avail, kx[i]) - comb(avail - ky[v - 1], kx[i])
+
+    return [
+        (BlockMap(images), w) for images, w in _walk_images(len(kx), len(ky), factor)
+    ]

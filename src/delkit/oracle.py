@@ -17,11 +17,11 @@ user of numpy, which it imports on first call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, product
 from math import comb, isfinite, log2
 
-from .core import DEFAULT_BUDGET, BudgetError, Mask
+from .core import DEFAULT_BUDGET, BudgetError, Mask, check_budget
 from .entropy import EntropyReport, WeightDistribution
 
 __all__ = [
@@ -49,35 +49,18 @@ class OracleBudget:
     max_subsets: int = 2_000_000
 
 
-DEFAULT_ORACLE_BUDGET = OracleBudget()
-
-
-def oracle_count(y: str, x: str, budget: OracleBudget | None = None) -> int:
+def oracle_count(y: str, x: str, budget: OracleBudget = OracleBudget()) -> int:
     """Embedding count by checking every |x|-subset of y's positions."""
-    b = budget or DEFAULT_ORACLE_BUDGET
-    if len(y) > b.max_n:
-        raise BudgetError(f"|y|={len(y)} exceeds oracle budget {b.max_n}")
-    if comb(len(y), len(x)) > b.max_subsets:
+    check_budget(len(y), budget.max_n, "|y|")
+    if comb(len(y), len(x)) > budget.max_subsets:
         raise BudgetError(
-            f"C({len(y)}, {len(x)}) subsets exceed oracle budget {b.max_subsets}"
+            f"C({len(y)}, {len(x)}) subsets exceed oracle budget {budget.max_subsets}"
         )
     return sum(
         1
         for pi in combinations(range(len(y)), len(x))
         if all(y[i] == c for i, c in zip(pi, x))
     )
-
-
-@lru_cache(maxsize=None)
-def _suffix_count(y: str, x: str) -> int:
-    if not x:
-        return 1
-    if len(y) < len(x):
-        return 0
-    n = _suffix_count(y[1:], x)
-    if y[0] == x[0]:
-        n += _suffix_count(y[1:], x[1:])
-    return n
 
 
 @dataclass
@@ -108,20 +91,29 @@ class OracleSpace:
 
 
 def oracle_space(
-    n: int, x: str, with_masks: bool = False, budget: OracleBudget | None = None
+    n: int, x: str, with_masks: bool = False, budget: OracleBudget = OracleBudget()
 ) -> OracleSpace:
     """Scan all of {0,1}^n, keeping every y that contains x, with its weight."""
-    b = budget or DEFAULT_ORACLE_BUDGET
-    if n > b.max_scan_n:
-        raise BudgetError(f"n={n} exceeds oracle scan budget {b.max_scan_n}")
-    if with_masks and comb(n, len(x)) > b.max_subsets:
+    check_budget(n, budget.max_scan_n)
+    if with_masks and comb(n, len(x)) > budget.max_subsets:
         raise BudgetError("mask listing exceeds the oracle subset budget")
-    _suffix_count.cache_clear()
+
+    @cache  # suffix pairs recur across the scan
+    def suffix_count(y: str, x: str) -> int:
+        if not x:
+            return 1
+        if len(y) < len(x):
+            return 0
+        k = suffix_count(y[1:], x)
+        if y[0] == x[0]:
+            k += suffix_count(y[1:], x[1:])
+        return k
+
     weights: dict[str, int] = {}
     masks: dict[str, list[Mask]] | None = {} if with_masks else None
     for bits in product("01", repeat=n):
         y = "".join(bits)
-        w = _suffix_count(y, x)
+        w = suffix_count(y, x)
         if w:
             weights[y] = w
             if masks is not None:
@@ -130,6 +122,9 @@ def oracle_space(
                     for pi in combinations(range(n), len(x))
                     if all(y[i] == c for i, c in zip(pi, x))
                 ]
+    # suffix_count refers to itself, so its memo would otherwise outlive the
+    # call until the next full garbage collection
+    suffix_count.cache_clear()
     return OracleSpace(n, x, weights, masks)
 
 
@@ -137,7 +132,7 @@ def oracle_entropy(
     n: int,
     x: str,
     alphas: tuple[float, ...] = (2.0,),
-    budget: OracleBudget | None = None,
+    budget: OracleBudget = OracleBudget(),
 ) -> EntropyReport:
     """Entropy measures summed per string (not per weight class).
 
@@ -173,16 +168,14 @@ def index_to_string(i: int, n: int) -> str:
     return format(i, f"0{n}b") if n else ""
 
 
-def oracle_weight_table(n: int, x: str, budget: OracleBudget | None = None):
+def oracle_weight_table(n: int, x: str, budget: OracleBudget = OracleBudget()):
     """Weights of every y in {0,1}^n at once, indexed per index_to_string.
 
     A vectorized rendering of the oracle_space scan: one pass per position of
     y, advancing all 2^n strings together.  Returns a numpy int64 array;
     values are bounded by C(n, |x|), far inside int64 for any n within budget.
     """
-    b = budget or DEFAULT_ORACLE_BUDGET
-    if n > b.max_n:
-        raise BudgetError(f"n={n} exceeds oracle budget {b.max_n}")
+    check_budget(n, budget.max_n)
     m = len(x)
     if (m + 1) << n > 1 << 26:
         raise BudgetError(f"scan table for n={n}, |x|={m} exceeds the memory guard")

@@ -15,7 +15,7 @@ governed by how many insertion slots each run of x offers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from math import comb
 from typing import Iterator
 
@@ -140,25 +140,29 @@ def cluster_size_simple(n: int, m: int, h: int, c: int) -> int:
     return sum(binomial(p - 1, h - 1) * binomial(n - p, c) for p in range(h, h + z + 1))
 
 
-@lru_cache(maxsize=None)
-def _cluster_rec(n: int, x: str, c: int) -> int:
-    if c < 0 or c > n - len(x):
-        return 0
-    if not x:
-        return comb(n, c)
-    if x[0] == "1":
-        # y starts with the matched 1, or with an excess 0
-        return _cluster_rec(n - 1, x[1:], c) + _cluster_rec(n - 1, x, c)
-    # y starts with the matched 0, or with an excess 1
-    return _cluster_rec(n - 1, x[1:], c) + _cluster_rec(n - 1, x, c - 1)
-
-
 def cluster_size_recursive(n: int, x: str, c: int) -> int:
     """Size of cluster c by recursion on the first symbol of y."""
     validate_bits(x)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _cluster_rec(n, x, c)
+
+    @cache
+    def rec(n: int, x: str, c: int) -> int:
+        if c < 0 or c > n - len(x):
+            return 0
+        if not x:
+            return comb(n, c)
+        if x[0] == "1":
+            # y starts with the matched 1, or with an excess 0
+            return rec(n - 1, x[1:], c) + rec(n - 1, x, c)
+        # y starts with the matched 0, or with an excess 1
+        return rec(n - 1, x[1:], c) + rec(n - 1, x, c - 1)
+
+    size = rec(n, x, c)
+    # rec refers to itself, so its memo would otherwise outlive the call
+    # until the next full garbage collection
+    rec.cache_clear()
+    return size
 
 
 def initial_mask(y: str, x: str) -> Mask | None:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from delkit.cli import main
+from delkit.cli import SUITES, main
 from delkit.embed import count_embeddings_dp
 
 GOLDEN_DIST_110 = """\
@@ -67,6 +67,16 @@ def test_count_runs_method_is_polynomial(capsys):
 def test_count_oracle_method(capsys):
     code, out, _ = run(capsys, "count", "--y", "10101", "--x", "101", "--method", "oracle")
     assert code == 0 and out == "4\n"
+
+
+def test_count_oracle_method_follows_the_budget(capsys):
+    argv = ("count", "--x", "11", "--method", "oracle", "--budget")
+    code, out, err = run(capsys, *argv, "5", "--y", "1" * 10)
+    assert code == 2 and out == ""
+    assert err == "error: |y|=10 exceeds enumeration budget 5\n"
+    # a budget above the default admits more than the default does
+    code, out, _ = run(capsys, *argv, "30", "--y", "1" * 26)
+    assert code == 0 and out == "325\n"
 
 
 def test_count_masks(capsys):
@@ -243,6 +253,19 @@ def test_verify_budget_is_checked(capsys, monkeypatch):
     assert code == 0
 
 
+def test_verify_max_m_follows_the_budget(capsys, monkeypatch):
+    code, out, err = run(
+        capsys, "verify", "--suite", "identityB", "--max-m", "4", "--budget", "3"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --max-m=4 exceeds enumeration budget 3\n"
+    # the default --max-m of clusters is 6
+    monkeypatch.setenv("DELKIT_BUDGET", "4")
+    code, out, err = run(capsys, "verify", "--suite", "clusters")
+    assert code == 2 and out == ""
+    assert err == "error: --max-m=6 exceeds enumeration budget 4\n"
+
+
 def test_gchain_golden(capsys):
     code, out, _ = run(capsys, "gchain", "--x", "101010", "--deletions", "2")
     assert code == 0
@@ -303,6 +326,15 @@ def test_verify_lemma4_small(capsys):
     meta, _, rows = parse_csv(out)
     assert meta["failures"] == "0"
     assert len(rows) == sum(2**m for m in range(1, 6))
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_verify_suite_passes_at_its_default_max_m(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert meta["max_m"] == str(SUITES[suite][1])
+    assert meta["failures"] == "0" and rows
 
 
 def test_usage_errors_exit_2():

@@ -17,6 +17,8 @@ from delkit.embed import (
 )
 from delkit.oracle import oracle_count
 
+from helpers import all_bits
+
 bits = st.text(alphabet="01", max_size=20)
 
 # weights of every length-5 supersequence, frozen from the brute-force oracle
@@ -30,10 +32,6 @@ GOLDEN_101 = {
     "01011": 2, "01101": 2, "10011": 4, "10101": 4, "10110": 2, "11001": 4,
     "11010": 2, "10111": 3, "11011": 4, "11101": 3,
 }
-
-
-def all_bits(m):
-    return ("".join(t) for t in product("01", repeat=m))
 
 
 def test_dp_golden_values():

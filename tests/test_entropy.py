@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import product
 from math import comb, log2
 
 import pytest
@@ -27,20 +26,9 @@ from delkit.entropy import (
 )
 from delkit.space import upsilon_size
 
+from helpers import all_bits, compositions
+
 bits = st.text(alphabet="01", min_size=1, max_size=8)
-
-
-def all_bits(m):
-    return ("".join(t) for t in product("01", repeat=m))
-
-
-def compositions(m):
-    if m == 0:
-        yield ()
-        return
-    for first in range(1, m + 1):
-        for rest in compositions(m - first):
-            yield (first,) + rest
 
 
 def test_mu_golden():

@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 
 from delkit.core import BudgetError
@@ -13,9 +11,7 @@ from delkit.oracle import (
     oracle_weight_table,
 )
 
-
-def all_bits(m):
-    return ("".join(t) for t in product("01", repeat=m))
+from helpers import all_bits
 
 
 def test_oracle_count_golden():

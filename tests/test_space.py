@@ -1,4 +1,3 @@
-from itertools import product
 from math import comb
 
 import pytest
@@ -25,6 +24,8 @@ from delkit.space import (
     upsilon_size,
 )
 
+from helpers import all_bits
+
 bits = st.text(alphabet="01", max_size=10)
 
 # maximal initials at n=5 with their greedy masks (1-based), frozen from the oracle
@@ -36,10 +37,6 @@ MAXIMAL_101 = {
     "00101": (3, 4, 5), "01001": (2, 3, 5), "01101": (2, 4, 5),
     "10001": (1, 2, 5), "11001": (1, 3, 5), "11101": (1, 4, 5),
 }
-
-
-def all_bits(m):
-    return ("".join(t) for t in product("01", repeat=m))
 
 
 def test_upsilon_golden():
