@@ -62,7 +62,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as f:
+        try:
+            f = open(out, "w", encoding="utf-8")
+        except OSError as e:
+            raise ValueError(f"cannot write --out {out}: {e.strerror}") from None
+        with f:
             f.write(text)
 
 
@@ -166,6 +170,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     alphas = args.alpha
     orders = [f"{a:g}" for a in alphas]
+    seen: dict[str, float] = {}
+    for a, o in zip(alphas, orders):
+        if o in seen:
+            raise ValueError(f"--alpha orders {seen[o]!r} and {a!r} share the label R_{o}")
+        seen[o] = a
     rows = []
     for x in _all_bits(m):
         d = ent.weight_distribution(n, x, budget=budget)
@@ -302,6 +311,10 @@ def _suite_identity(max_m: int, which: str) -> list[Row]:
 
 
 def _suite_entropy_min(max_m: int) -> list[Row]:
+    def argmin_text(values: dict[str, float]) -> str:
+        low = min(values.values())
+        return "{" + ",".join(sorted(x for x, v in values.items() if v <= low + 1e-9)) + "}"
+
     rows: list[Row] = []
     for m in range(1, max_m + 1):
         expected = "{" + ",".join(sorted(["0" * m, "1" * m])) + "}"
@@ -310,18 +323,12 @@ def _suite_entropy_min(max_m: int) -> list[Row]:
             (2, ent.predicted_weights_double),
         ):
             n = m + extra
-            values = {x: ent.shannon_entropy(predict(x)) for x in _all_bits(m)}
-            low = min(values.values())
-            argmin = sorted(x for x, v in values.items() if v <= low + 1e-9)
-            got = "{" + ",".join(argmin) + "}"
+            got = argmin_text({x: ent.shannon_entropy(predict(x)) for x in _all_bits(m)})
             rows.append((f"m={m} n={n} measure=H", got, expected, got == expected))
         n = m + 1
         dists = {x: ent.predicted_weights_single(x) for x in _all_bits(m)}
         for a in (0.5, 2.0, 3.0):
-            values = {x: ent.renyi_entropy(d, a) for x, d in dists.items()}
-            low = min(values.values())
-            argmin = sorted(x for x, v in values.items() if v <= low + 1e-9)
-            got = "{" + ",".join(argmin) + "}"
+            got = argmin_text({x: ent.renyi_entropy(d, a) for x, d in dists.items()})
             rows.append((f"m={m} n={n} measure=R{a:g}", got, expected, got == expected))
     return rows
 

@@ -20,7 +20,6 @@ __all__ = [
     "complement",
     "format_mask",
     "hamming_weight",
-    "mask_complement",
     "multichoose",
     "validate_bits",
 ]
@@ -123,30 +122,14 @@ class Rle:
     def block_count(self) -> int:
         return len(self.lengths)
 
-    @property
-    def total(self) -> int:
-        return sum(self.lengths)
-
     def symbols(self) -> tuple[str, ...]:
         """Symbol of each run, in order."""
         first = self.leading
         other = "1" if first == "0" else "0"
         return tuple(first if i % 2 == 0 else other for i in range(len(self.lengths)))
 
-    def __str__(self) -> str:
-        return f"({self.leading}; {','.join(str(k) for k in self.lengths)})"
-
 
 def format_mask(mask: Mask) -> str:
     """Render a 0-based index tuple 1-based, e.g. (0, 1, 3) -> ``{1, 2, 4}``."""
     return "{" + ", ".join(str(i + 1) for i in mask) + "}"
 
-
-def mask_complement(mask: Mask, n: int) -> Mask:
-    """Indices of [0, n) not in ``mask``; a projection mask's deletion mask."""
-    if any(i < 0 or i >= n for i in mask):
-        raise ValueError(f"mask {mask} out of range for n={n}")
-    if len(set(mask)) != len(mask):
-        raise ValueError(f"mask {mask} has repeated indices")
-    chosen = set(mask)
-    return tuple(i for i in range(n) if i not in chosen)

@@ -25,10 +25,9 @@ weight of the maps of those runs with f(i) = v.  Only images that leave room
 for the remaining runs, i <= v <= l - (lp - i), are kept, which makes the
 route O(lp * band^2) exact integer steps with lp runs of x, l aligned runs of
 y and band = (l - lp) / 2 + 1, instead of one step per map.  The maps
-themselves are enumerated only where they are the output, by one
-depth-first walk over image prefixes that drops a prefix as soon as one of
-its factors is 0: with unit factors in enumerate_block_maps (all maps), and
-with the chain's factors in block_map_weights (the maps of nonzero weight).
+themselves are enumerated only where they are the output, in
+block_map_weights, by a depth-first walk over image prefixes that drops a
+prefix as soon as one of its factors is 0 (the maps of nonzero weight).
 """
 from __future__ import annotations
 
@@ -44,7 +43,6 @@ __all__ = [
     "block_map_weights",
     "count_embeddings_dp",
     "count_embeddings_runs",
-    "enumerate_block_maps",
     "enumerate_masks",
     "sigma_count",
 ]
@@ -141,10 +139,6 @@ class BlockMap:
                 raise ValueError(f"not an increasing parity-preserving map: {self.images}")
             prev = v
 
-    def __call__(self, i: int) -> int:
-        """f(i) for 1-based i; f(0) = 0."""
-        return 0 if i == 0 else self.images[i - 1]
-
 
 def _walk_images(
     lp: int, l: int, factor: Callable[[int, int, int], int]
@@ -171,13 +165,6 @@ def _walk_images(
             if step:
                 children.append((images + (v,), w * step))
         stack.extend(reversed(children))
-
-
-def enumerate_block_maps(lp: int, l: int) -> list[BlockMap]:
-    """All maps counted by sigma_count(lp, l), in lexicographic order."""
-    if lp < 0 or l < 0:
-        raise ValueError("run counts must be nonnegative")
-    return [BlockMap(images) for images, _ in _walk_images(lp, l, lambda i, u, v: 1)]
 
 
 def _aligned_run_lengths(y: str, x: str) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

@@ -23,12 +23,10 @@ chain down to the constant string.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import comb, isfinite, log2
 
 from .core import Rle, hamming_weight, validate_bits
-from .embed import count_embeddings_dp
 from .space import (
     cluster_size_closed,
     composition_slots,
@@ -37,24 +35,18 @@ from .space import (
 )
 
 __all__ = [
-    "EntropyReport",
-    "GStepReport",
     "WeightDistribution",
     "delta_single",
     "double_count_identity",
-    "double_insertion_cases",
     "double_weight_identity",
-    "entropy_report",
     "g_chain",
     "g_transform",
     "min_entropy",
     "mu",
-    "posterior",
     "predicted_weights_double",
     "predicted_weights_single",
     "renyi_entropy",
     "shannon_entropy",
-    "verify_g_decreases",
     "weight_distribution",
 ]
 
@@ -145,15 +137,6 @@ def weight_distribution(
     return WeightDistribution(n, x, dict(sorted(counts.items())), breakdown)
 
 
-def posterior(y: str, x: str, n: int | None = None) -> Fraction:
-    """Exact posterior probability of y given x, at length n = |y|."""
-    if n is None:
-        n = len(y)
-    if len(y) != n:
-        raise ValueError(f"|y|={len(y)} does not match n={n}")
-    return Fraction(count_embeddings_dp(y, x), mu(n, len(x)))
-
-
 def shannon_entropy(d: WeightDistribution) -> float:
     """Shannon entropy (bits) of the posterior, summed in ascending weight."""
     denom = mu(d.n, d.m)
@@ -183,29 +166,14 @@ def renyi_entropy(d: WeightDistribution, alpha: float) -> float:
         top = max(d.counts)
         s = sum(d.counts[w] * (w / top) ** alpha for w in sorted(d.counts))
         return alpha / (1 - alpha) * (log2(top) - log2(denom)) + log2(s) / (1 - alpha)
-    return log2(s) / (1 - alpha)
+    # a point mass gives log2(1.0) / (1 - alpha), which is -0.0 for alpha > 1;
+    # adding 0.0 turns it into 0.0 and leaves every other value unchanged
+    return log2(s) / (1 - alpha) + 0.0
 
 
 def min_entropy(d: WeightDistribution) -> float:
     """Min-entropy: -log2 of the largest posterior probability."""
     return log2(mu(d.n, d.m)) - log2(max(d.counts))
-
-
-@dataclass
-class EntropyReport:
-    """Entropy measures of one posterior: Shannon, Renyi by order, min."""
-
-    shannon: float
-    renyi: dict[float, float] = field(default_factory=dict)
-    min_entropy: float = 0.0
-
-
-def entropy_report(d: WeightDistribution, alphas: tuple[float, ...] = (2.0,)) -> EntropyReport:
-    return EntropyReport(
-        shannon=shannon_entropy(d),
-        renyi={a: renyi_entropy(d, a) for a in alphas},
-        min_entropy=min_entropy(d),
-    )
 
 
 def g_transform(x: str) -> str:
@@ -284,19 +252,6 @@ def _double_insertion_cases(ks: tuple[int, ...]) -> tuple[Counter, Counter, Coun
     return lengthen, mixed, split
 
 
-def double_insertion_cases(x: str) -> dict[str, dict[int, int]]:
-    """Case-by-case weight multisets behind predicted_weights_double."""
-    validate_bits(x)
-    if not x:
-        raise ValueError("double insertion needs a nonempty string")
-    lengthen, mixed, split = _double_insertion_cases(Rle.encode(x).lengths)
-    return {
-        "both_lengthen": dict(sorted(lengthen.items())),
-        "mixed": dict(sorted(mixed.items())),
-        "both_split": dict(sorted(split.items())),
-    }
-
-
 def predicted_weights_double(x: str) -> WeightDistribution:
     """Weight histogram at n = |x| + 2, from x's run lengths alone."""
     validate_bits(x)
@@ -317,38 +272,6 @@ def delta_single(k1: int, k2: int) -> float:
         raise ValueError("run lengths must be at least 1")
     a, b, s = k1 + 1, k2 + 1, k1 + k2 + 1
     return s * log2(s) - a * log2(a) - b * log2(b)
-
-
-@dataclass(frozen=True)
-class GStepReport:
-    """Outcome of one entropy comparison between x and g(x)."""
-
-    x: str
-    transformed: str
-    deletions: int
-    entropy_before: float
-    entropy_after: float
-    difference: float
-    fixed_point: bool
-    ok: bool
-
-
-def verify_g_decreases(x: str, deletions: int = 1) -> GStepReport:
-    """Check H(x) > H(g(x)) via the predicted multisets at n = |x| + deletions.
-
-    Fixed points (constant strings) must show an exactly zero difference;
-    everything else must drop by more than 1e-9 bits.
-    """
-    if deletions not in (1, 2):
-        raise ValueError(f"deletions must be 1 or 2, got {deletions}")
-    predict = predicted_weights_single if deletions == 1 else predicted_weights_double
-    gx = g_transform(x)
-    before = shannon_entropy(predict(x))
-    after = shannon_entropy(predict(gx))
-    diff = before - after
-    fixed = gx == x
-    ok = diff == 0.0 if fixed else diff > 1e-9
-    return GStepReport(x, gx, deletions, before, after, diff, fixed, ok)
 
 
 def _validate_composition(ks) -> tuple[int, ...]:

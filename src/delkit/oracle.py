@@ -4,9 +4,7 @@ Everything here is deliberately naive: embedding counts come from the
 textbook recursion on string suffixes or from trying every index subset,
 and whole spaces come from scanning every string in {0,1}^n.  None of the
 closed forms or the iterative counting code from the other modules is used,
-so agreement between the two sides is meaningful evidence.  The only
-arithmetic anchors the oracle trusts are the compatible-set size and mask
-mass formulas, which the shared histogram type checks on construction.
+so agreement between the two sides is meaningful evidence.
 
 oracle_weight_table is the same full-space scan vectorized with numpy (all
 2^n strings advance one position per pass); it exists because grids of
@@ -22,12 +20,11 @@ from itertools import combinations, product
 from math import comb, isfinite, log2
 
 from .core import DEFAULT_BUDGET, BudgetError, Mask, check_budget
-from .entropy import EntropyReport, WeightDistribution
 
 __all__ = [
+    "EntropyReport",
     "OracleBudget",
     "OracleSpace",
-    "index_to_string",
     "oracle_count",
     "oracle_entropy",
     "oracle_space",
@@ -72,20 +69,6 @@ class OracleSpace:
     weights: dict[str, int]
     masks: dict[str, list[Mask]] | None = None
 
-    def distribution(self, by_cluster: bool = False) -> WeightDistribution:
-        counts: dict[int, int] = {}
-        for w in self.weights.values():
-            counts[w] = counts.get(w, 0) + 1
-        breakdown = None
-        if by_cluster:
-            h = self.x.count("1")
-            parts: dict[int, dict[int, int]] = {}
-            for y, w in self.weights.items():
-                part = parts.setdefault(y.count("1") - h, {})
-                part[w] = part.get(w, 0) + 1
-            breakdown = {c: dict(sorted(parts[c].items())) for c in sorted(parts)}
-        return WeightDistribution(self.n, self.x, dict(sorted(counts.items())), breakdown)
-
     def singletons(self) -> list[str]:
         return [y for y, w in self.weights.items() if w == 1]
 
@@ -128,6 +111,15 @@ def oracle_space(
     return OracleSpace(n, x, weights, masks)
 
 
+@dataclass
+class EntropyReport:
+    """Entropy measures of one posterior: Shannon, Renyi by order, min."""
+
+    shannon: float
+    renyi: dict[float, float]
+    min_entropy: float
+
+
 def oracle_entropy(
     n: int,
     x: str,
@@ -161,15 +153,8 @@ def oracle_entropy(
     return EntropyReport(shannon=shannon, renyi=renyi, min_entropy=-log2(top / total))
 
 
-def index_to_string(i: int, n: int) -> str:
-    """The length-n bit string whose big-endian integer value is i."""
-    if not 0 <= i < 1 << n:
-        raise ValueError(f"index {i} out of range for n={n}")
-    return format(i, f"0{n}b") if n else ""
-
-
 def oracle_weight_table(n: int, x: str, budget: OracleBudget = OracleBudget()):
-    """Weights of every y in {0,1}^n at once, indexed per index_to_string.
+    """Weights of every y in {0,1}^n at once, indexed by y's big-endian value.
 
     A vectorized rendering of the oracle_space scan: one pass per position of
     y, advancing all 2^n strings together.  Returns a numpy int64 array;

@@ -24,7 +24,6 @@ from .core import (
     Rle,
     binomial,
     check_budget,
-    hamming_weight,
     multichoose,
     validate_bits,
 )

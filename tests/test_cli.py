@@ -147,6 +147,15 @@ def test_distribution_out_file(capsys, tmp_path):
     assert path.read_text() == GOLDEN_DIST_110
 
 
+@pytest.mark.parametrize("where", ["missing-dir/dist.csv", "."])
+def test_out_path_that_cannot_be_written_is_refused(capsys, tmp_path, where):
+    # a missing parent directory, and an existing directory
+    path = tmp_path / where
+    code, out, err = run(capsys, "count", "--y", "101", "--x", "1", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
+
+
 def test_distribution_rejects_n_below_m(capsys):
     code, _, err = run(capsys, "distribution", "--x", "110", "--n", "2")
     assert code == 2 and "error" in err
@@ -185,6 +194,25 @@ def test_sweep_cap_and_budget_precedence(capsys, monkeypatch):
     # a flag beats the env
     code, out, _ = run(capsys, "sweep", "--m", "5", "--n", "6", "--budget", "8")
     assert code == 0 and len(out.splitlines()) == 4 + 32
+
+
+def test_sweep_point_mass_entropies_are_positive_zero(capsys):
+    # at n = m every posterior is a point mass, and R_2 used to print as -0
+    _, out, _ = run(capsys, "sweep", "--m", "3", "--n", "3", "--alpha", "0.5", "2")
+    _, header, rows = parse_csv(out)
+    assert header == ["x", "n", "H", "R_0.5", "R_2", "Hmin"]
+    assert all(row[2:] == ["0", "0", "0", "0"] for row in rows)
+    _, out, _ = run(capsys, "sweep", "--m", "3", "--n", "3", "--format", "json")
+    for row in json.loads(out)["rows"]:
+        assert math.copysign(1.0, row["R"]["2"]) == 1.0
+    assert "-0" not in out
+
+
+@pytest.mark.parametrize("alphas", [["2.0000001", "2"], ["2", "2"], ["0.5", "3", "3.0"]])
+def test_sweep_rejects_alphas_with_one_label(capsys, alphas):
+    code, out, err = run(capsys, "sweep", "--m", "2", "--n", "3", "--alpha", *alphas)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --alpha orders ") and err.count("\n") == 1
 
 
 def test_sweep_rejects_bad_alpha(capsys):

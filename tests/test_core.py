@@ -1,4 +1,7 @@
+import ast
+import re
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,7 +13,6 @@ from delkit.core import (
     complement,
     format_mask,
     hamming_weight,
-    mask_complement,
     multichoose,
     validate_bits,
 )
@@ -76,11 +78,6 @@ def test_rle_rejects_malformed():
         Rle("1", (-1,))
 
 
-def test_rle_text_form():
-    assert str(Rle("1", (6, 1))) == "(1; 6,1)"
-    assert str(Rle("0", ())) == "(0; )"
-
-
 def test_rle_round_trip_exhaustive_small():
     for n in range(0, 17):
         for tup in product("01", repeat=n):
@@ -92,29 +89,13 @@ def test_rle_round_trip_exhaustive_small():
 def test_rle_round_trip_property(s):
     r = Rle.encode(s)
     assert r.decode() == s
-    assert r.total == len(s)
+    assert sum(r.lengths) == len(s)
     assert all(k >= 1 for k in r.lengths)
 
 
 def test_mask_formatting_is_one_based():
     assert format_mask((0, 1, 2)) == "{1, 2, 3}"
     assert format_mask(()) == "{}"
-
-
-def test_mask_complement():
-    assert mask_complement((0, 2), 4) == (1, 3)
-    assert mask_complement((), 3) == (0, 1, 2)
-    with pytest.raises(ValueError):
-        mask_complement((4,), 4)
-    with pytest.raises(ValueError):
-        mask_complement((1, 1), 4)
-
-
-@given(st.sets(st.integers(min_value=0, max_value=15)), st.just(16))
-def test_mask_complement_partitions_positions(chosen, n):
-    mask = tuple(sorted(chosen))
-    other = mask_complement(mask, n)
-    assert sorted(mask + other) == list(range(n))
 
 
 def test_package_exports_the_union_of_module_lists():
@@ -125,3 +106,27 @@ def test_package_exports_the_union_of_module_lists():
     assert len(set(names)) == len(names)
     assert sorted(delkit.__all__) == sorted(names)
     assert all(hasattr(delkit, name) for name in names)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "delkit"
+
+
+@pytest.mark.parametrize("module", ["oracle", "embed", "space"])
+def test_independent_routes_import_only_core(module):
+    # the oracle, the counting routes and the space code check one another,
+    # so none of them may lean on another module of the package
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module == "core", ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] != "delkit", ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "delkit" for a in node.names), ast.unparse(node)
+
+
+def test_readme_quick_start_runs():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec"), {})

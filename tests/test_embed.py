@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from delkit.core import Rle, complement
 from delkit.embed import (
     BlockMap,
+    _walk_images,
     block_map_weights,
     count_embeddings_dp,
     count_embeddings_runs,
-    enumerate_block_maps,
     enumerate_masks,
     sigma_count,
 )
@@ -135,25 +135,28 @@ def test_sigma_matches_first_image_recurrence():
             assert sigma_count(lp, l) == recur(lp, l)
 
 
+def all_block_maps(lp, l):
+    """Images of every map sigma_count(lp, l) counts: the walk with unit factors."""
+    return [images for images, _ in _walk_images(lp, l, lambda i, u, v: 1)]
+
+
 def test_block_maps_golden():
-    assert [b.images for b in enumerate_block_maps(2, 4)] == [(1, 2), (1, 4), (3, 4)]
-    assert [b.images for b in enumerate_block_maps(0, 3)] == [()]
-    assert enumerate_block_maps(3, 2) == []
+    assert all_block_maps(2, 4) == [(1, 2), (1, 4), (3, 4)]
+    assert all_block_maps(0, 3) == [()]
+    assert all_block_maps(3, 2) == []
 
 
 def test_block_maps_are_valid_lex_and_counted_by_sigma():
     for lp in range(0, 6):
         for l in range(0, 10):
-            maps = enumerate_block_maps(lp, l)
-            images = [b.images for b in maps]
-            assert images == sorted(images)
+            maps = all_block_maps(lp, l)
+            assert maps == sorted(maps)
             assert len(maps) == sigma_count(lp, l)
-            for b in maps:
-                assert len(b.images) == lp
-                for i, v in enumerate(b.images, start=1):
+            for images in maps:
+                assert len(images) == lp
+                for i, v in enumerate(images, start=1):
                     assert v % 2 == i % 2
-                    assert b(i) == v
-                assert all(a < c for a, c in zip(b.images, b.images[1:]))
+                assert all(a < c for a, c in zip(images, images[1:]))
 
 
 def test_block_map_rejects_bad_images():

@@ -7,21 +7,18 @@ from hypothesis import strategies as st
 
 from delkit.entropy import (
     WeightDistribution,
+    _double_insertion_cases,
     delta_single,
     double_count_identity,
-    double_insertion_cases,
     double_weight_identity,
-    entropy_report,
     g_chain,
     g_transform,
     min_entropy,
     mu,
-    posterior,
     predicted_weights_double,
     predicted_weights_single,
     renyi_entropy,
     shannon_entropy,
-    verify_g_decreases,
     weight_distribution,
 )
 from delkit.space import upsilon_size
@@ -72,21 +69,17 @@ def test_weight_distribution_rejects_bad_histograms():
         WeightDistribution(5, "110", good, by_cluster={7: good})
 
 
-def test_posterior_golden():
-    assert posterior("11000", "110") == Fraction(3, 40)
-    assert posterior("00110", "110") == Fraction(1, 40)
-    assert posterior("00000", "110") == 0
-    assert posterior("11000", "110", n=5) == Fraction(3, 40)
-    with pytest.raises(ValueError):
-        posterior("11000", "110", n=6)
-
-
 def test_posteriors_sum_to_one_over_the_space():
+    # P(y | x) = w_x(y) / mu, with w_x(y) from the dp, not the enumerator's table
+    from delkit.embed import count_embeddings_dp
     from delkit.space import enumerate_supersequences
 
     for x in ("", "1", "110", "0101"):
         n = len(x) + 2
-        total = sum(posterior(y, x) for y, _ in enumerate_supersequences(n, x))
+        total = sum(
+            Fraction(count_embeddings_dp(y, x), mu(n, len(x)))
+            for y, _ in enumerate_supersequences(n, x)
+        )
         assert total == 1
 
 
@@ -153,14 +146,6 @@ def test_renyi_entropy_at_large_alpha_stays_between_min_and_r2():
     assert abs(renyi_entropy(weight_distribution(3, ""), 1e308) - 3.0) < 1e-12
 
 
-def test_entropy_report_bundles_measures():
-    d = weight_distribution(5, "110")
-    rep = entropy_report(d, alphas=(0.5, 2.0))
-    assert rep.shannon == shannon_entropy(d)
-    assert set(rep.renyi) == {0.5, 2.0}
-    assert rep.min_entropy == min_entropy(d)
-
-
 @given(bits)
 def test_entropy_is_complement_invariant(x):
     from delkit.core import complement
@@ -213,10 +198,11 @@ def test_predicted_single_matches_enumeration():
 
 
 def test_double_insertion_cases_golden():
-    cases = double_insertion_cases("110")
-    assert cases["both_lengthen"] == {3: 1, 6: 2}
-    assert cases["mixed"] == {2: 3, 3: 3, 4: 1}
-    assert cases["both_split"] == {1: 6}
+    # x = 110 has run lengths (2, 1)
+    lengthen, mixed, split = _double_insertion_cases((2, 1))
+    assert lengthen == {3: 1, 6: 2}
+    assert mixed == {2: 3, 3: 3, 4: 1}
+    assert split == {1: 6}
 
 
 def test_predicted_double_golden():
@@ -248,17 +234,6 @@ def test_delta_single_matches_entropy_difference():
     h10 = shannon_entropy(predicted_weights_single("10"))
     h00 = shannon_entropy(predicted_weights_single("00"))
     assert abs(2 * 3 * (h10 - h00) - delta_single(1, 1)) < 1e-9
-
-
-def test_verify_g_decreases_reports():
-    rep = verify_g_decreases("110", 1)
-    assert rep.transformed == "000" and rep.ok and rep.difference > 1e-9
-    rep2 = verify_g_decreases("101010", 2)
-    assert rep2.ok and rep2.difference > 1e-9
-    fixed = verify_g_decreases("0000", 1)
-    assert fixed.fixed_point and fixed.ok and fixed.difference == 0.0
-    with pytest.raises(ValueError):
-        verify_g_decreases("110", 3)
 
 
 def test_identity_golden_values():
