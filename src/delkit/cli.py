@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -56,6 +57,20 @@ def _cell(v: object) -> str:
 
 def _json_text(obj: object) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _check_out(out: str) -> None:
+    """Refuse an --out path that open() would refuse, before any work is done."""
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        err = errno.EISDIR
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --out {out}: {os.strerror(err)}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -435,6 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)

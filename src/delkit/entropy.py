@@ -4,9 +4,12 @@ Fix x and n = |x| + d.  Conditioned on observing x after d symbol deletions,
 the posterior over candidate originals y is proportional to the embedding
 weight: P(y | x) = w_x(y) / mu, where mu = C(n, m) 2^(n-m) is the total mask
 mass.  Everything entropic about that posterior is determined by the weight
-histogram, computed here three ways: by enumeration (weight_distribution),
-and for d = 1 and d = 2 by closed-form predicted multisets that need only
-x's run lengths.
+histogram.  weight_distribution computes it for any d by one of two
+routes, whichever closed forms of their step counts say is cheaper: a walk
+over every supersequence, or a join of left-half prefix counts with
+right-half suffix counts (every embedding in uv splits between u and v at
+exactly one symbol of x).  For d = 1 and d = 2 closed-form predicted
+multisets need only x's run lengths.
 
 For d = 2 the mixed case (one insertion lengthens a run, one splits) needs
 care: the structured strings obtained by writing (..., k_t, 1, 1, k_{t+1}, ...)
@@ -22,12 +25,14 @@ chain down to the constant string.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import comb, isfinite, log2
 
 from .core import Rle, hamming_weight, validate_bits
 from .space import (
+    _split_half_histogram,
+    _split_half_pays,
     cluster_size_closed,
     composition_slots,
     enumerate_supersequences,
@@ -118,19 +123,32 @@ class WeightDistribution:
         return sum(w * k for w, k in self.counts.items())
 
 
-def weight_distribution(
+def _walk_histogram(
     n: int, x: str, by_cluster: bool = False, budget: int | None = None
-) -> WeightDistribution:
-    """Histogram of embedding weights over all length-n supersequences of x."""
+) -> tuple[Counter[int], dict[int, Counter[int]] | None]:
+    """Weight histogram (and cluster breakdown) by walking every supersequence."""
     h = hamming_weight(x)
     counts: Counter[int] = Counter()
-    clusters: dict[int, Counter[int]] = {}
+    clusters: defaultdict[int, Counter[int]] = defaultdict(Counter)
     for y, w in enumerate_supersequences(n, x, budget):
         counts[w] += 1
         if by_cluster:
-            clusters.setdefault(hamming_weight(y) - h, Counter())[w] += 1
+            clusters[hamming_weight(y) - h][w] += 1
+    return counts, dict(clusters) if by_cluster else None
+
+
+def weight_distribution(
+    n: int, x: str, by_cluster: bool = False, budget: int | None = None
+) -> WeightDistribution:
+    """Histogram of embedding weights over all length-n supersequences of x.
+
+    Walks the supersequences, or joins half-length count tables where closed
+    forms of both routes' step counts say that is cheaper.
+    """
+    route = _split_half_histogram if _split_half_pays(n, len(x)) else _walk_histogram
+    counts, clusters = route(n, x, by_cluster, budget)
     breakdown = None
-    if by_cluster:
+    if clusters is not None:
         breakdown = {
             c: dict(sorted(clusters[c].items())) for c in sorted(clusters)
         }

@@ -149,8 +149,9 @@ def oracle_entropy(
             s = sum((w / top) ** a for w in sp.weights.values())
             renyi[a] = a / (1 - a) * log2(top / total) + log2(s) / (1 - a)
         else:
-            renyi[a] = log2(s) / (1 - a)
-    return EntropyReport(shannon=shannon, renyi=renyi, min_entropy=-log2(top / total))
+            # + 0.0 turns the -0.0 of a point mass into 0.0, as in renyi_entropy
+            renyi[a] = log2(s) / (1 - a) + 0.0
+    return EntropyReport(shannon=shannon, renyi=renyi, min_entropy=-log2(top / total) + 0.0)
 
 
 def oracle_weight_table(n: int, x: str, budget: OracleBudget = OracleBudget()):

@@ -11,11 +11,19 @@ A maximal initial is a member whose greedy (leftmost) embedding of x ends on
 the last position of y.  A singleton is a member that embeds x exactly once;
 singletons are produced by run-splitting insertions only, so their count is
 governed by how many insertion slots each run of x offers.
+
+The weight histogram over the compatible set has a second route beside the
+walk: _split_half_histogram joins prefix counts of every left half with
+suffix counts of every right half, and _split_half_pays picks between the
+two from closed forms of their step counts.
 """
 from __future__ import annotations
 
+import struct
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import comb
 from typing import Iterator
 
@@ -24,6 +32,7 @@ from .core import (
     Rle,
     binomial,
     check_budget,
+    hamming_weight,
     multichoose,
     validate_bits,
 )
@@ -96,6 +105,105 @@ def enumerate_supersequences(
             for j in live[depth][bit]:
                 nxt[j] += nxt[j - 1]
             stack.append((prefix + bit, tuple(nxt), grown))
+
+
+def _split_half_pays(n: int, m: int) -> bool:
+    """Whether _split_half_histogram should replace the walk at (n, m).
+
+    Compares closed forms of each route's Python-level steps: the split-half
+    route takes about 2^L (R + 2) + 2^R (L = n // 2, R = n - L), the walk one
+    per supersequence.  Its 64-bit slots are exact only while C(n, m) < 2^64.
+    """
+    if not 0 <= m <= n:
+        return False
+    left, right = n // 2, n - n // 2
+    steps = (1 << left) * (right + 2) + (1 << right)
+    return comb(n, m) < 1 << 64 and steps < upsilon_size(n, m)
+
+
+def _prefix_table(
+    length: int, x: str, lo: int, hi: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(ones, counts) for every u in {0,1}^length, counts[t] = w_{x[:lo+t]}(u).
+
+    Covers the prefixes lo..hi of x.  Built one symbol at a time like the
+    walk's table, updating only the prefixes j <= hi that can still reach
+    lo in the symbols left.
+    """
+    rows = [(0, (1,) + (0,) * len(x))]
+    for i in range(length):
+        band = range(min(hi, i + 1), max(0, lo - length + i), -1)
+        live = {bit: [j for j in band if x[j - 1] == bit] for bit in "01"}
+        grown = []
+        for ones, counts in rows:
+            for bit in "01":
+                nxt = list(counts)
+                for j in live[bit]:
+                    nxt[j] += nxt[j - 1]
+                grown.append((ones + (bit == "1"), tuple(nxt)))
+        rows = grown
+    return [(ones, counts[lo : hi + 1]) for ones, counts in rows]
+
+
+def _split_half_histogram(
+    n: int, x: str, by_cluster: bool = False, budget: int | None = None
+) -> tuple[Counter[int], dict[int, Counter[int]] | None]:
+    """Weight histogram (and cluster breakdown) of x's length-n supersequences.
+
+    Every embedding of x in y = uv splits at exactly one j, so
+    w_x(uv) = sum_j w_{x[:j]}(u) w_{x[j:]}(v) over max(0, m - R) <= j <= min(m, L)
+    with |u| = L = n // 2 and |v| = R = n - L.  The suffix counts of all v,
+    ordered by popcount, are packed per j into one integer with a 64-bit slot
+    per v, so the weights of every uv for one u are a few big-integer
+    multiply-adds; every partial sum is at most C(n, m), which must fit a
+    slot.  Zero weights (non-members) are dropped; cluster c of uv is
+    h(u) + h(v) - h(x), one popcount block of v per cluster.
+    """
+    validate_bits(x)
+    check_budget(n, budget)
+    m = len(x)
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= |x| <= n, got |x|={m}, n={n}")
+    if comb(n, m) >= 1 << 64:
+        raise ValueError(f"C({n}, {m}) does not fit a 64-bit slot")
+    left, right = n // 2, n - n // 2
+    lo, hi = max(0, m - right), min(m, left)
+    prefixes = _prefix_table(left, x, lo, hi)
+    # suffix counts of x in v are prefix counts of reversed x in reversed v
+    suffixes = sorted(
+        (ones, counts[::-1])
+        for ones, counts in _prefix_table(right, x[::-1], m - hi, m - lo)
+    )
+    # one little-endian 64-bit slot per v, whatever the host's byte order
+    slots = struct.Struct(f"<{len(suffixes)}Q")
+    packed = [
+        int.from_bytes(slots.pack(*(counts[t] for _, counts in suffixes)), "little")
+        for t in range(hi - lo + 1)
+    ]
+    nbytes = slots.size
+    blocks = list(accumulate((comb(right, k) for k in range(right + 1)), initial=0))
+    h = hamming_weight(x)
+    # one histogram per cluster, or a single one
+    parts = [Counter() for _ in range(n - m + 1 if by_cluster else 1)]
+    for ones, a in prefixes:
+        row = 0
+        for at, b in zip(a, packed):
+            if at:
+                row += at * b
+        if not row:
+            continue
+        weights = slots.unpack(row.to_bytes(nbytes, "little"))
+        if not by_cluster:
+            parts[0].update(weights)
+            continue
+        # the popcounts of v that put uv in a cluster 0 <= c <= n - m
+        for hv in range(max(0, h - ones), min(right, h - ones + n - m) + 1):
+            parts[ones + hv - h].update(weights[blocks[hv] : blocks[hv + 1]])
+    for part in parts:
+        del part[0]  # the strings that do not contain x
+    if not by_cluster:
+        return parts[0], None
+    return sum(parts, Counter()), {c: part for c, part in enumerate(parts) if part}
 
 
 def _check_cluster_shape(n: int, m: int, h: int) -> None:

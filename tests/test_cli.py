@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from delkit import entropy
 from delkit.cli import SUITES, main
 from delkit.embed import count_embeddings_dp
 
@@ -154,6 +159,47 @@ def test_out_path_that_cannot_be_written_is_refused(capsys, tmp_path, where):
     code, out, err = run(capsys, "count", "--y", "101", "--x", "1", "--out", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("computed before refusing --out")
+
+
+@pytest.mark.parametrize("argv", [
+    ["distribution", "--x", "110", "--n", "5"],
+    ["sweep", "--m", "10", "--n", "13"],
+])
+@pytest.mark.parametrize("where", ["missing-dir/out.csv", ".", "file.txt/out.csv"])
+def test_out_path_is_refused_before_the_work(capsys, monkeypatch, tmp_path, argv, where):
+    monkeypatch.setattr(entropy, "weight_distribution", no_work)
+    (tmp_path / "file.txt").write_text("kept\n")
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    path = tmp_path / where
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+    assert (tmp_path / "file.txt").read_text() == "kept\n"
+
+
+def test_out_path_without_write_permission_is_refused(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(entropy, "weight_distribution", no_work)
+    locked, kept = tmp_path / "locked", tmp_path / "kept.csv"
+    locked.mkdir()
+    kept.write_text("kept\n")
+    locked.chmod(0o500)
+    kept.chmod(0o400)
+    try:
+        if os.access(locked, os.W_OK):
+            pytest.skip("this user may write to a read-only directory")
+        for path in (locked / "new.csv", kept):
+            code, out, err = run(capsys, "distribution", "--x", "1", "--n", "2", "--out", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot write --out {path}: Permission denied\n"
+        assert list(locked.iterdir()) == [] and kept.read_text() == "kept\n"
+    finally:
+        locked.chmod(0o700)
+        kept.chmod(0o600)
 
 
 def test_distribution_rejects_n_below_m(capsys):
@@ -390,3 +436,51 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def test_split_half_distribution_leaves_numpy_unloaded():
+    # (19, 7) takes the split-half route; numpy would cost 12 MB of RSS
+    code = (
+        "import contextlib, io, sys\n"
+        "from delkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['distribution', '--x', '0110101', '--n', '19', '--by-cluster'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_examples():
+    """(arguments, expected stdout) of every `$ delkit ...` line in README's
+    sh blocks that shows its output."""
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line, output in re.findall(r"^\$ delkit (.*)\n((?:(?!\$ ).*\n)*)", block, re.M):
+            if output:
+                yield line, output
+
+
+def output_pattern(text):
+    """A line that is only `...` stands for any number of lines; a line
+    ending in `...` matches as a prefix."""
+    parts = []
+    for line in text.splitlines():
+        if line == "...":
+            parts.append(r"(?:.*\n)*")
+        elif line.endswith("..."):
+            parts.append(re.escape(line[:-3]) + r".*\n")
+        else:
+            parts.append(re.escape(line) + r"\n")
+    return "".join(parts)
+
+
+def test_readme_cli_examples_print_what_readme_shows(capsys):
+    examples = list(readme_cli_examples())
+    assert len(examples) >= 4
+    for line, output in examples:
+        code, out, _ = run(capsys, *shlex.split(line))
+        assert code == 0, line
+        assert re.fullmatch(output_pattern(output), out), (line, out)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delkit import entropy
 from delkit.entropy import (
     WeightDistribution,
     _double_insertion_cases,
@@ -53,6 +54,19 @@ def test_weight_distribution_by_cluster_golden():
         1: {1: 2, 2: 1, 3: 2, 4: 1, 6: 1},
         2: {1: 1, 3: 1, 6: 1},
     }
+
+
+def test_weight_distribution_takes_the_route_the_rule_picks(monkeypatch):
+    def wrong_route(*args):
+        raise AssertionError("took the other route")
+
+    # (19, 7) joins half tables, (13, 11) walks its 92 supersequences
+    monkeypatch.setattr(entropy, "_walk_histogram", wrong_route)
+    d = weight_distribution(19, "0110101", by_cluster=True)
+    assert d.total_strings == upsilon_size(19, 7) == 480_492
+    monkeypatch.undo()
+    monkeypatch.setattr(entropy, "_split_half_histogram", wrong_route)
+    assert weight_distribution(13, "01101010110", by_cluster=True).total_strings == 92
 
 
 def test_weight_distribution_rejects_bad_histograms():

@@ -1,4 +1,5 @@
 from collections import Counter
+from math import copysign
 
 import pytest
 
@@ -118,3 +119,11 @@ def test_oracle_entropy_agrees_at_large_alpha():
         want = renyi_entropy(weight_distribution(n, x), 2000.0)
         assert abs(rep.renyi[2000.0] - want) < 1e-9
         assert rep.min_entropy - 1e-12 <= rep.renyi[2000.0]
+
+
+def test_oracle_entropy_of_a_point_mass_is_positive_zero():
+    # the only supersequence of 010 at n = 3 is itself: no -0.0 anywhere
+    rep = oracle_entropy(3, "010", alphas=(0.5, 2.0))
+    assert rep.renyi == {0.5: 0.0, 2.0: 0.0} and rep.min_entropy == 0.0
+    values = [rep.shannon, rep.min_entropy, *rep.renyi.values()]
+    assert all(copysign(1.0, v) == 1.0 for v in values)

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb
 
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import strategies as st
 
 from delkit.core import BudgetError
 from delkit.embed import enumerate_masks
-from delkit.oracle import oracle_space
+from delkit.entropy import _walk_histogram
+from delkit.oracle import oracle_space, oracle_weight_table
 from delkit.space import (
     RunSlots,
+    _split_half_histogram,
+    _split_half_pays,
     cluster_size_closed,
     cluster_size_recursive,
     cluster_size_simple,
@@ -69,6 +73,86 @@ def test_enumerate_supersequences_is_lex_and_complete():
                 assert ys == sorted(ys)
                 assert len(rows) == (upsilon_size(n, m) if n >= m else 0)
                 assert dict(rows) == oracle_space(n, x).weights
+
+
+def _oracle_histograms(n, x, ones):
+    """Histogram and cluster breakdown from the oracle's scan of {0,1}^n."""
+    h = x.count("1")
+    clusters = {}
+    for (hy, w), k in Counter(zip(ones, oracle_weight_table(n, x).tolist())).items():
+        if w:
+            clusters.setdefault(hy - h, Counter())[w] = k
+    return sum(clusters.values(), Counter()), clusters
+
+
+def test_split_half_histogram_equals_walk_and_oracle_exhaustive():
+    # every x with |x| <= 6 at every n <= 14, in both modes: against the walk
+    # over supersequences and against the oracle's position scan
+    for n in range(15):
+        ones = [bin(i).count("1") for i in range(1 << n)]
+        for m in range(min(n, 6) + 1):
+            for x in all_bits(m):
+                counts, clusters = _oracle_histograms(n, x, ones)
+                assert _walk_histogram(n, x, by_cluster=True) == (counts, clusters)
+                assert _split_half_histogram(n, x, by_cluster=True) == (counts, clusters)
+                assert _split_half_histogram(n, x) == (counts, None)
+
+
+@pytest.mark.parametrize(
+    "n, x, counts, clusters",
+    [
+        (0, "", {1: 1}, {0: {1: 1}}),  # no halves at all
+        (1, "", {1: 2}, {0: {1: 1}, 1: {1: 1}}),  # empty left half
+        (1, "1", {1: 1}, {0: {1: 1}}),
+        (1, "0", {1: 1}, {0: {1: 1}}),
+        (3, "010", {1: 1}, {0: {1: 1}}),  # m = n
+        (4, "", {1: 16}, {0: {1: 1}, 1: {1: 4}, 2: {1: 6}, 3: {1: 4}, 4: {1: 1}}),
+        (
+            6,
+            "110",
+            {1: 10, 2: 6, 3: 9, 4: 4, 5: 1, 6: 6, 7: 2, 9: 2, 10: 1, 12: 1},
+            {
+                0: {1: 4, 2: 3, 3: 2, 4: 1},
+                1: {1: 3, 2: 2, 3: 4, 4: 2, 5: 1, 6: 2, 7: 1, 9: 1},
+                2: {1: 2, 2: 1, 3: 2, 4: 1, 6: 3, 7: 1, 9: 1, 12: 1},
+                3: {1: 1, 3: 1, 6: 1, 10: 1},
+            },
+        ),
+        (
+            7,
+            "0110",
+            {1: 10, 2: 12, 3: 9, 4: 9, 5: 3, 6: 8, 7: 2, 8: 3, 9: 4, 10: 1, 12: 3},
+            {
+                0: {1: 1, 2: 2, 3: 2, 4: 3, 6: 2},
+                1: {1: 2, 2: 4, 3: 4, 4: 2, 5: 3, 7: 2, 8: 2, 9: 2, 12: 1},
+                2: {1: 3, 2: 6, 4: 4, 6: 4, 8: 1, 9: 2, 12: 2},
+                3: {1: 4, 3: 3, 6: 2, 10: 1},
+            },
+        ),
+    ],
+)
+def test_split_half_histogram_edges(n, x, counts, clusters):
+    # frozen from the walk
+    assert _split_half_histogram(n, x) == (counts, None)
+    assert _split_half_histogram(n, x, by_cluster=True) == (counts, clusters)
+
+
+def test_split_half_route_rule():
+    assert _split_half_pays(19, 7)  # 7,168 steps against 480,492 supersequences
+    assert not _split_half_pays(13, 11)  # 704 steps against 92
+    assert not _split_half_pays(3, 4) and not _split_half_pays(-1, 0)
+
+
+def test_split_half_guard_keeps_slots_exact():
+    # C(n, m) bounds every partial sum in a 64-bit slot; past 2^64 the rule
+    # falls back to the walk although the step counts favour the split, and
+    # the route refuses before building any table
+    assert comb(67, 33) < 1 << 64 <= comb(68, 34)
+    assert _split_half_pays(67, 33) and not _split_half_pays(68, 34)
+    assert comb(70, 35) >= 1 << 64 and (1 << 35) * 38 < upsilon_size(70, 35)
+    assert not _split_half_pays(70, 35)
+    with pytest.raises(ValueError, match="64-bit slot"):
+        _split_half_histogram(70, "01" * 17 + "0", budget=70)
 
 
 def test_enumerate_supersequences_budget():
