@@ -29,7 +29,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import comb, isfinite, log2
 
-from .core import Rle, hamming_weight, validate_bits
+from .core import Rle, check_budget, hamming_weight, validate_bits
 from .space import (
     _split_half_histogram,
     _split_half_pays,
@@ -143,8 +143,11 @@ def weight_distribution(
     """Histogram of embedding weights over all length-n supersequences of x.
 
     Walks the supersequences, or joins half-length count tables where closed
-    forms of both routes' step counts say that is cheaper.
+    forms of both routes' step counts say that is cheaper.  An n over the
+    budget is refused before either closed form is evaluated.
     """
+    validate_bits(x)
+    check_budget(n, budget)
     route = _split_half_histogram if _split_half_pays(n, len(x)) else _walk_histogram
     counts, clusters = route(n, x, by_cluster, budget)
     breakdown = None

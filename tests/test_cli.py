@@ -242,6 +242,23 @@ def test_sweep_cap_and_budget_precedence(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 4 + 32
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distribution", "--x", "1", "--n", "1000000000"],
+        ["distribution", "--x", "", "--n", "100000", "--by-cluster"],
+        ["sweep", "--m", "3", "--n", "1000000"],
+    ],
+)
+def test_an_n_over_the_budget_is_refused_at_once(capsys, argv):
+    # C(n, m) fits 64 bits here, so the route rule must not run first: its
+    # closed forms cost a 2^(n/2) integer and n + 1 binomials
+    code, out, err = run(capsys, *argv)
+    n = argv[argv.index("--n") + 1]
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: n={n} exceeds enumeration budget ")
+
+
 def test_sweep_point_mass_entropies_are_positive_zero(capsys):
     # at n = m every posterior is a point mass, and R_2 used to print as -0
     _, out, _ = run(capsys, "sweep", "--m", "3", "--n", "3", "--alpha", "0.5", "2")
@@ -430,25 +447,17 @@ def test_module_entry_point_runs():
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, delkit.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0 and proc.stdout == "False\n"
-
-
-def test_split_half_distribution_leaves_numpy_unloaded():
     # (19, 7) takes the split-half route; numpy would cost 12 MB of RSS
     code = (
         "import contextlib, io, sys\n"
         "from delkit.cli import main\n"
+        "print('numpy' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    main(['distribution', '--x', '0110101', '--n', '19', '--by-cluster'])\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    assert proc.returncode == 0 and proc.stdout == "False\nFalse\n"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
