@@ -23,7 +23,7 @@ from itertools import product
 
 from . import entropy as ent
 from . import oracle, space
-from .core import DEFAULT_BUDGET, BudgetError, check_budget, format_mask, validate_bits
+from .core import DEFAULT_BUDGET, BudgetError, check_budget, complement, format_mask, validate_bits
 from .embed import count_embeddings_dp, count_embeddings_runs, enumerate_masks
 
 ENV_BUDGET = "DELKIT_BUDGET"
@@ -186,16 +186,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     alphas = args.alpha
     orders = [f"{a:g}" for a in alphas]
     seen: dict[str, float] = {}
+    point_mass = ent.WeightDistribution(0, "", {1: 1})
     for a, o in zip(alphas, orders):
+        ent.renyi_entropy(point_mass, a)  # refuses a bad order before any work
         if o in seen:
             raise ValueError(f"--alpha orders {seen[o]!r} and {a!r} share the label R_{o}")
         seen[o] = a
+    # reversal and complement preserve every weight, so each x shares the row
+    # of its orbit's lexicographic minimum, which lex order meets first
+    orbit_rows: dict[str, tuple] = {}
     rows = []
     for x in _all_bits(m):
-        d = ent.weight_distribution(n, x, budget=budget)
-        h = ent.shannon_entropy(d)
-        rs = [ent.renyi_entropy(d, a) for a in alphas]
-        rows.append((x, h, rs, ent.min_entropy(d)))
+        flipped = complement(x)
+        key = min(x, x[::-1], flipped, flipped[::-1])
+        if key not in orbit_rows:
+            d = ent.weight_distribution(n, x, budget=budget)
+            rs = [ent.renyi_entropy(d, a) for a in alphas]
+            orbit_rows[key] = (ent.shannon_entropy(d), rs, ent.min_entropy(d))
+        rows.append((x, *orbit_rows[key]))
     if args.format == "json":
         obj = {"m": m, "n": n, "alphas": list(alphas)}
         obj["rows"] = [

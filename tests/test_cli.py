@@ -15,6 +15,8 @@ from delkit import entropy
 from delkit.cli import SUITES, main
 from delkit.embed import count_embeddings_dp
 
+from helpers import all_bits
+
 GOLDEN_DIST_110 = """\
 # x=110
 # n=5
@@ -162,7 +164,7 @@ def test_out_path_that_cannot_be_written_is_refused(capsys, tmp_path, where):
 
 
 def no_work(*args, **kwargs):
-    raise AssertionError("computed before refusing --out")
+    raise AssertionError("computed before refusing the arguments")
 
 
 @pytest.mark.parametrize("argv", [
@@ -301,6 +303,76 @@ def test_sweep_large_alpha_is_finite(capsys, alpha):
     for row in rows:
         r, hmin = float(row[3]), float(row[4])
         assert math.isfinite(r) and hmin - 1e-12 <= r <= hmin + 0.01
+
+
+def test_sweep_rows_match_entropies_computed_per_x(capsys):
+    # sweep copies one row per reversal/complement orbit; every row must
+    # still equal the entropies of that x's own histogram
+    alphas = [0.5, 2.0, 3.0]
+    for m in range(9):
+        for n in range(m, m + 5):
+            rows = []
+            for x in all_bits(m):
+                d = entropy.weight_distribution(n, x)
+                rs = [entropy.renyi_entropy(d, a) for a in alphas]
+                rows.append((x, entropy.shannon_entropy(d), rs, entropy.min_entropy(d)))
+            argv = ["sweep", "--m", str(m), "--n", str(n), "--alpha", "0.5", "2", "3"]
+            _, out, _ = run(capsys, *argv)
+            want = [f"# m={m}", f"# n={n}", "# alphas=0.5,2,3", "x,n,H,R_0.5,R_2,R_3,Hmin"]
+            want += [
+                ",".join([x, str(n)] + [format(v, ".17g") for v in [h, *rs, hmin]])
+                for x, h, rs, hmin in rows
+            ]
+            assert out == "\n".join(want) + "\n"
+            _, out, _ = run(capsys, *argv, "--format", "json")
+            assert json.loads(out) == {
+                "m": m,
+                "n": n,
+                "alphas": alphas,
+                "rows": [
+                    {"x": x, "n": n, "H": h, "R": dict(zip(["0.5", "2", "3"], rs)), "Hmin": hmin}
+                    for x, h, rs, hmin in rows
+                ],
+            }
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_sweep_builds_one_histogram_per_orbit(capsys, monkeypatch, m):
+    real = entropy.weight_distribution
+    calls = []
+
+    def counted(n, x, **kwargs):
+        calls.append(x)
+        return real(n, x, **kwargs)
+
+    monkeypatch.setattr(entropy, "weight_distribution", counted)
+    code, out, _ = run(capsys, "sweep", "--m", str(m), "--n", str(m + 1))
+    assert code == 0 and len(out.splitlines()) == 4 + 2**m
+    # Burnside over the four maps, for m >= 1: the identity fixes 2^m strings,
+    # reversal 2^ceil(m/2), complement none, and both 2^(m/2) at even m only
+    orbits = 1 if m == 0 else (2 ** (m - 1) + 2 ** (m // 2)) // 2
+    assert len(calls) == orbits
+    assert calls == sorted(set(calls))
+
+
+@pytest.mark.parametrize(
+    "orders, message",
+    [
+        (["--alpha", "1"], "alpha = 1 is the Shannon case; use shannon_entropy"),
+        (["--alpha", "2", "1"], "alpha = 1 is the Shannon case; use shannon_entropy"),
+        (["--alpha", "0"], "alpha must be positive, got 0.0"),
+        (["--alpha=-1"], "alpha must be positive, got -1.0"),
+        (["--alpha=-inf"], "alpha must be positive, got -inf"),
+        (["--alpha", "nan"], "alpha must be finite, got nan"),
+        (["--alpha", "0.5", "inf"], "alpha must be finite, got inf"),
+    ],
+)
+def test_sweep_refuses_a_bad_order_before_the_work(capsys, monkeypatch, orders, message):
+    # n = 24 would take the split-half join before renyi_entropy saw the order
+    monkeypatch.setattr(entropy, "weight_distribution", no_work)
+    code, out, err = run(capsys, "sweep", "--m", "12", "--n", "24", *orders)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_negative_budget_flag_is_refused(capsys):

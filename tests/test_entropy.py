@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delkit import entropy
+from delkit.core import complement
 from delkit.entropy import (
     WeightDistribution,
     _double_insertion_cases,
@@ -22,7 +23,7 @@ from delkit.entropy import (
     shannon_entropy,
     weight_distribution,
 )
-from delkit.space import upsilon_size
+from delkit.space import _split_half_pays, upsilon_size
 
 from helpers import all_bits, compositions
 
@@ -160,10 +161,27 @@ def test_renyi_entropy_at_large_alpha_stays_between_min_and_r2():
     assert abs(renyi_entropy(weight_distribution(3, ""), 1e308) - 3.0) < 1e-12
 
 
+def test_histogram_is_invariant_under_reversal_and_complement():
+    # sweep computes one row per orbit of x under these maps, so this is the
+    # theorem its reuse rests on; every n = m + 4 from (5, 1) to (11, 7) takes
+    # the join, and the rest of the range walks
+    assert _split_half_pays(11, 7) and not _split_half_pays(10, 7)
+    for m in range(8):
+        for n in range(m, m + 5):
+            dists = {x: weight_distribution(n, x, by_cluster=True) for x in all_bits(m)}
+            for x, d in dists.items():
+                assert weight_distribution(n, x).counts == d.counts
+                rev, flip = dists[x[::-1]], dists[complement(x)]
+                for other in (rev, flip, dists[complement(x)[::-1]]):
+                    assert other.counts == d.counts
+                assert rev.by_cluster == d.by_cluster
+                assert flip.by_cluster == {
+                    (n - m) - c: part for c, part in d.by_cluster.items()
+                }
+
+
 @given(bits)
 def test_entropy_is_complement_invariant(x):
-    from delkit.core import complement
-
     n = len(x) + 2
     a = shannon_entropy(weight_distribution(n, x))
     b = shannon_entropy(weight_distribution(n, complement(x)))
