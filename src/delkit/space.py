@@ -111,8 +111,10 @@ def _split_half_pays(n: int, m: int) -> bool:
     """Whether _split_half_histogram should replace the walk at (n, m).
 
     Compares closed forms of each route's Python-level steps: the split-half
-    route takes about 2^L (R + 2) + 2^R (L = n // 2, R = n - L), the walk one
-    per supersequence.  Its 64-bit slots are exact only while C(n, m) < 2^64.
+    route takes about 2^L (R + 2) + 2^R (L = n // 2, R = n - L), the walk is
+    charged upsilon(n, m).  That only bounds the walk's merged states on each
+    level, so the rule leans toward the join.  Its 64-bit slots are exact only
+    while C(n, m) < 2^64.
     """
     if not 0 <= m <= n:
         return False

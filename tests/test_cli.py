@@ -209,6 +209,21 @@ def test_distribution_rejects_n_below_m(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "x, n, message",
+    [
+        ("01", "-1", "need n >= 0, got -1"),
+        ("", "-1", "need n >= 0, got -1"),
+        ("110", "2", "need 0 <= |x| <= n, got |x|=3, n=2"),
+        ("1", "0", "need 0 <= |x| <= n, got |x|=1, n=0"),
+    ],
+)
+@pytest.mark.parametrize("extra", [[], ["--by-cluster"]])
+def test_distribution_refuses_a_bad_length_in_one_line(capsys, x, n, message, extra):
+    code, out, err = run(capsys, "distribution", "--x", x, "--n", n, *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_basic(capsys):
     code, out, _ = run(capsys, "sweep", "--m", "3", "--n", "5", "--alpha", "0.5", "2")
     assert code == 0

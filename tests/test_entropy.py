@@ -1,3 +1,4 @@
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, log2
 
@@ -10,6 +11,7 @@ from delkit.core import complement
 from delkit.entropy import (
     WeightDistribution,
     _double_insertion_cases,
+    _walk_histogram,
     delta_single,
     double_count_identity,
     double_weight_identity,
@@ -23,7 +25,7 @@ from delkit.entropy import (
     shannon_entropy,
     weight_distribution,
 )
-from delkit.space import _split_half_pays, upsilon_size
+from delkit.space import _split_half_pays, enumerate_supersequences, upsilon_size
 
 from helpers import all_bits, compositions
 
@@ -178,6 +180,43 @@ def test_histogram_is_invariant_under_reversal_and_complement():
                 assert flip.by_cluster == {
                     (n - m) - c: part for c, part in d.by_cluster.items()
                 }
+
+
+def test_walk_equals_the_supersequence_enumeration():
+    # the merged walk counts classes of prefixes; the enumerator lists every
+    # supersequence one at a time with its own count table
+    for m in range(10):
+        for n in range(m, m + 4):
+            for x in all_bits(m):
+                counts, clusters = Counter(), defaultdict(Counter)
+                for y, w in enumerate_supersequences(n, x):
+                    counts[w] += 1
+                    clusters[y.count("1") - x.count("1")][w] += 1
+                assert _walk_histogram(n, x) == (counts, None)
+                assert _walk_histogram(n, x, by_cluster=True) == (counts, clusters)
+
+
+def test_walk_equals_the_closed_forms():
+    for m in range(1, 12):
+        for x in all_bits(m):
+            assert _walk_histogram(m + 1, x)[0] == predicted_weights_single(x).counts
+            assert _walk_histogram(m + 2, x)[0] == predicted_weights_double(x).counts
+
+
+@pytest.mark.parametrize("symbol", "01")
+def test_walk_slots_hold_the_largest_weight(symbol):
+    # y with r copies of x = symbol^m has weight C(r, m); the C(n, r) of them
+    # sit in cluster n - r for 0^m and r - m for 1^m.  The top weight C(n, m)
+    # fills its slot, up to C(24, 12) at the default budget.
+    for n in range(25):
+        for m in range(n + 1):
+            clusters = defaultdict(Counter)
+            for r in range(m, n + 1):
+                c = n - r if symbol == "0" else r - m
+                clusters[c][comb(r, m)] += comb(n, r)
+            counts = sum(clusters.values(), Counter())
+            got = _walk_histogram(n, symbol * m, by_cluster=True)
+            assert got == (counts, clusters), (n, m)
 
 
 @given(bits)
