@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from itertools import product
 
 from . import entropy as ent
@@ -57,6 +58,22 @@ def _cell(v: object) -> str:
 
 def _json_text(obj: object) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+@contextmanager
+def _any_int_digits():
+    """Lift Python 3.11+'s cap on int-to-str digits (4,300 by default) for the
+    duration, so exact counts print in full; 3.10 has no cap to lift."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    cap = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def _check_out(out: str) -> None:
@@ -136,16 +153,18 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         w = oracle.oracle_count(y, x, oracle.OracleBudget(max_n=budget))
     masks = enumerate_masks(y, x, budget) if args.masks else None
-    if args.format == "json":
-        obj: dict[str, object] = {"y": y, "x": x, "method": args.method, "omega": w}
-        if masks is not None:
-            obj["masks"] = [[i + 1 for i in pi] for pi in masks]
-        _emit(_json_text(obj), args.out)
-    else:
-        lines = [str(w)]
-        if masks is not None:
-            lines.extend(format_mask(pi) for pi in masks)
-        _emit("\n".join(lines) + "\n", args.out)
+    with _any_int_digits():
+        if args.format == "json":
+            obj: dict[str, object] = {"y": y, "x": x, "method": args.method, "omega": w}
+            if masks is not None:
+                obj["masks"] = [[i + 1 for i in pi] for pi in masks]
+            text = _json_text(obj)
+        else:
+            lines = [str(w)]
+            if masks is not None:
+                lines.extend(format_mask(pi) for pi in masks)
+            text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
     return 0
 
 

@@ -7,8 +7,8 @@ here can overflow.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import groupby
 from math import comb
 
 __all__ = [
@@ -41,7 +41,7 @@ def check_budget(n: int, budget: int | None = None, what: str = "n") -> None:
 
 def validate_bits(s: str) -> str:
     """Return ``s`` unchanged if it is a string over {'0','1'}, else raise."""
-    if not isinstance(s, str) or any(c not in "01" for c in s):
+    if not isinstance(s, str) or s.strip("01"):
         raise ValueError(f"not a bit string: {s!r}")
     return s
 
@@ -57,6 +57,14 @@ def complement(s: str) -> str:
 def hamming_weight(s: str) -> int:
     """Number of 1s."""
     return s.count("1")
+
+
+_RUN = re.compile("0+|1+")
+
+
+def _run_lengths(s: str) -> tuple[int, ...]:
+    """Lengths of the maximal runs of a bit string, in order."""
+    return tuple(map(len, _RUN.findall(s)))
 
 
 def binomial(n: int, k: int) -> int:
@@ -108,7 +116,7 @@ class Rle:
         validate_bits(s)
         if not s:
             return cls("0", ())
-        return cls(s[0], tuple(len(list(g)) for _, g in groupby(s)))
+        return cls(s[0], _run_lengths(s))
 
     def decode(self) -> str:
         sym = self.leading

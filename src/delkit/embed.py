@@ -4,8 +4,9 @@ An embedding of x in y is a strictly increasing choice of |x| positions of y
 whose projection spells x; the number of embeddings is the weight of y as a
 supersequence of x.  Three independent routes compute it:
 
-* a dynamic program over prefix pairs, restricted to the prefixes of x that
-  can still complete (the workhorse),
+* a dynamic program over prefix pairs, restricted at each symbol of y to the
+  prefixes of x that are already reached and can still complete, which lie
+  between x's greedy leftmost and rightmost embeddings in y (the workhorse),
 * explicit enumeration of the position masks themselves,
 * a run-length route that groups masks by which run of y hosts the last
   symbol of each run of x.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterator
 
-from .core import Mask, Rle, binomial, check_budget, validate_bits
+from .core import Mask, _run_lengths, binomial, check_budget, validate_bits
 
 __all__ = [
     "BlockMap",
@@ -52,31 +53,50 @@ def count_embeddings_dp(y: str, x: str) -> int:
     """Number of embeddings of x in y, by dynamic programming.
 
     One pass over y with a rolling table indexed by prefixes of x, updated
-    only on the live band: after i + 1 symbols of y, a prefix of length j can
-    still grow into x only if i + 1 - d <= j <= i + 1, with d = |y| - |x|
-    deletions (longer prefixes are still 0; shorter ones are never read
-    again, since the remaining symbols could not finish x).  The band is
-    d + 1 wide, so O(|y| (|y| - |x| + 1)) time, O(|x|) space, exact ints
-    throughout.
+    only on the band of prefixes that can still be both reached and
+    completed: y[i] updates prefix j only while x[:j] embeds in y[:i + 1]
+    and x[j:] embeds in y[i + 1:].  The first bound moves with the greedy
+    leftmost embedding of x, found inside the pass; the second is the
+    position of x[j] in the greedy rightmost embedding, found by one backward
+    pass first (which also answers 0 when x does not embed at all).  Both
+    bounds are at least as tight as the length bounds, so the band is never
+    wider than d + 1 = |y| - |x| + 1, and on y whose runs x keeps it is about
+    one run wide.  O(|y| + sum of the band widths) exact int additions, O(|x|)
+    space.
     """
     validate_bits(y)
     validate_bits(x)
     m = len(x)
     if m == 0:
         return 1
-    d = len(y) - m
-    if d < 0:
-        return 0
+    # last[j] = position of x[j] in the rightmost embedding of x in y.  Prefix
+    # j leaves the band at y[last[j]], after which x[j:] no longer fits; its
+    # count is still read once, at that same symbol (no x[j] lies between
+    # last[j] and last[j + 1]), and it is exact there
+    last = [0] * m + [len(y)]
+    at = len(y)
+    for k in range(m - 1, -1, -1):
+        at = y.rfind(x[k], 0, at)
+        if at < 0:
+            return 0
+        last[k] = at
     # counts[j] = embeddings of x[:j] in the scanned prefix of y; live[c]
     # holds the band's prefixes j with x[j-1] == c, descending, so each y
-    # symbol is used at most once per embedding
+    # symbol is used at most once per embedding.  x[:reach] is what the
+    # leftmost embedding has placed so far and lo the shortest live prefix.
     counts = [1] + [0] * m
     live = {"0": deque(), "1": deque()}
+    reach, lo = 0, 1
+    want, drop = x[0], last[1]
     for i, ch in enumerate(y):
-        if i < m:
-            live[x[i]].appendleft(i + 1)
-        if i > d:
-            live[x[i - d - 1]].pop()
+        if i == drop:
+            live[x[lo - 1]].pop()
+            lo += 1
+            drop = last[lo]
+        if ch == want:
+            reach += 1
+            live[ch].appendleft(reach)
+            want = x[reach] if reach < m else ""
         for j in live[ch]:
             counts[j] += counts[j - 1]
     return counts[m]
@@ -172,14 +192,12 @@ def _aligned_run_lengths(y: str, x: str) -> tuple[tuple[int, ...], tuple[int, ..
 
     None when y runs out of runs, i.e. no embedding can exist.
     """
-    ry = Rle.encode(y)
-    rx = Rle.encode(x)
-    ky = ry.lengths
-    if ry.leading != rx.leading:
+    ky = _run_lengths(y)
+    if y[0] != x[0]:
         ky = ky[1:]
         if not ky:
             return None
-    return ky, rx.lengths
+    return ky, _run_lengths(x)
 
 
 def _parity_sums(ky: tuple[int, ...]) -> list[int]:

@@ -580,3 +580,32 @@ def test_readme_cli_examples_print_what_readme_shows(capsys):
         code, out, _ = run(capsys, *shlex.split(line))
         assert code == 0, line
         assert re.fullmatch(output_pattern(output), out), (line, out)
+
+
+def exact_digits(n):
+    """Decimal digits of n >= 0, 1,000 at a time, so no int-to-str cap applies."""
+    chunks = []
+    while True:
+        n, r = divmod(n, 10**1000)
+        chunks.append(r)
+        if not n:
+            break
+    return str(chunks[-1]) + "".join(f"{c:01000d}" for c in reversed(chunks[:-1]))
+
+
+@pytest.mark.parametrize("method", ["dp", "runs"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_count_prints_a_count_of_over_4300_digits(capsys, fmt, method):
+    # omega = C(9, 7)^3000 = 36^3000 has 4,669 digits, past Python 3.11's
+    # default int-to-str cap; the cap must be back in place afterwards
+    y, x = ("0" * 9 + "1" * 9) * 1500, ("0" * 7 + "1" * 7) * 1500
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "count", "--y", y, "--x", x, "--method", method, "--format", fmt)
+    assert (code, err) == (0, "")
+    want = exact_digits(math.comb(9, 7) ** 3000)
+    assert len(want) == 4669
+    if fmt == "csv":
+        assert out == want + "\n"
+    else:
+        assert out == f'{{\n  "y": "{y}",\n  "x": "{x}",\n  "method": "{method}",\n  "omega": {want}\n}}\n'
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap

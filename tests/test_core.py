@@ -130,3 +130,20 @@ def test_readme_quick_start_runs():
     block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S)
     assert block is not None
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("bad", ["0a1", "01\n", "1 ", "\n", "0\x001"])
+def test_validate_bits_rejects_any_stray_character(bad):
+    with pytest.raises(ValueError) as err:
+        validate_bits(bad)
+    assert str(err.value) == f"not a bit string: {bad!r}"
+
+
+def test_run_lengths_match_the_runs_spelled_out():
+    from itertools import groupby
+
+    from delkit.core import _run_lengths
+
+    for n in range(0, 13):
+        for s in ("".join(p) for p in product("01", repeat=n)):
+            assert _run_lengths(s) == tuple(len(list(g)) for _, g in groupby(s))

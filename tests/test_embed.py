@@ -291,3 +291,59 @@ def test_same_run_count_gives_a_product_formula():
                 for ky, kx in zip(ry.lengths, rx.lengths)
             )
             assert count_embeddings_dp(y, x) == want
+
+
+def test_dp_equals_the_subset_tally_at_length_10():
+    # test_dp_equals_oracle_exhaustive stops at |y| = 9.  Here every y of
+    # length 10 meets every x of length <= 10, most of which do not embed,
+    # and four x one symbol longer than y
+    xs = [x for m in range(0, 11) for x in all_bits(m)]
+    for y in all_bits(10):
+        tally = subset_tally(y)
+        for x in xs:
+            assert count_embeddings_dp(y, x) == tally.get(x, 0), (y, x)
+        for x in (y + "0", y + "1", "0" + y, "1" + y):
+            assert count_embeddings_dp(y, x) == 0, (y, x)
+
+
+@st.composite
+def run_structured_pairs(draw):
+    """A y of runs 1 to 12 long, |y| <= 200, and an x keeping a drawn number
+    of symbols of each run: all of them, none (which merges the neighbouring
+    runs) or anything between."""
+    y = x = ""
+    sym = draw(st.sampled_from("01"))
+    while len(y) < 200 and draw(st.integers(0, 30)):
+        k = draw(st.integers(1, min(12, 200 - len(y))))
+        kept = draw(st.one_of(st.just(k), st.just(0), st.integers(0, k)))
+        y, x = y + sym * k, x + sym * kept
+        sym = "1" if sym == "0" else "0"
+    return y, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_structured_pairs())
+def test_runs_equals_dp_on_run_structured_pairs(pair):
+    y, x = pair
+    assert count_embeddings_runs(y, x) == count_embeddings_dp(y, x)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_same_run_count_product_formula_at_length_2000(seed):
+    # x keeps at least one symbol of every run of y, so run i of x draws
+    # only from run i of y and omega = prod C(ky_i, kx_i)
+    import math
+
+    rnd = random.Random(seed)
+    ky, kx = [], []
+    while sum(ky) < 2000:
+        ky.append(rnd.randint(1, 12))
+        kx.append(rnd.randint(1, ky[-1]))
+    sym = rnd.choice("01")
+    y = x = ""
+    for a, b in zip(ky, kx):
+        y, x = y + sym * a, x + sym * b
+        sym = "1" if sym == "0" else "0"
+    want = math.prod(math.comb(a, b) for a, b in zip(ky, kx))
+    assert count_embeddings_dp(y, x) == want
+    assert count_embeddings_runs(y, x) == want
