@@ -4,10 +4,10 @@ Fix x and n = |x| + d.  Conditioned on observing x after d symbol deletions,
 the posterior over candidate originals y is proportional to the embedding
 weight: P(y | x) = w_x(y) / mu, where mu = C(n, m) 2^(n-m) is the total mask
 mass.  Everything entropic about that posterior is determined by the weight
-histogram.  weight_distribution computes it for any d by one of two
-routes, whichever closed forms of their step counts say is cheaper: a walk
+histogram.  weight_distribution computes it for any d by one of two routes
+in space, whichever closed forms of their step counts say is cheaper: a walk
 over classes of y prefixes that share their live prefix counts, or a join of
-left-half prefix counts with right-half suffix counts (every embedding in uv
+that walk stopped halfway on x and on reversed x (every embedding in uv
 splits between u and v at exactly one symbol of x).  For d = 1 and d = 2
 closed-form predicted multisets need only x's run lengths.
 
@@ -25,7 +25,7 @@ chain down to the constant string.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, isfinite, log2
 
@@ -33,6 +33,7 @@ from .core import Rle, check_budget, hamming_weight, validate_bits
 from .space import (
     _split_half_histogram,
     _split_half_pays,
+    _walk_histogram,
     cluster_size_closed,
     composition_slots,
     upsilon_size,
@@ -122,61 +123,13 @@ class WeightDistribution:
         return sum(w * k for w, k in self.counts.items())
 
 
-def _walk_histogram(
-    n: int, x: str, by_cluster: bool = False, budget: int | None = None
-) -> tuple[Counter[int], dict[int, Counter[int]] | None]:
-    """Weight histogram (and cluster breakdown) by a walk over classes of y prefixes.
-
-    A prefix of length L reaches its completions only through its live band,
-    w_{x[:j]}(prefix) for L - d <= j <= L (d = n - |x|), packed lowest j first
-    into one int with a slot of C(n, |x|).bit_length() bits per j, which no
-    live count outgrows.  Prefixes that share a band (and a popcount, for
-    clusters) are one state with a multiplicity, so a level holds at most
-    upsilon(n, |x|) states.  A band of 0 cannot complete; at depth n the band
-    is the weight.
-    """
-    validate_bits(x)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    check_budget(n, budget)
-    m = len(x)
-    if m > n:
-        return Counter(), {} if by_cluster else None
-    d, width = n - m, comb(n, m).bit_length()
-    step = 1 if by_cluster else 0
-    # levels[i]: band -> number of prefixes with i ones (one level without clusters)
-    levels = [{1 << d * width: 1}]
-    for depth in range(n):
-        # appending bit b adds w_{x[:j]} into w_{x[:j+1]} wherever x[j] == b
-        masks = [0, 0]
-        for t, j in enumerate(range(depth - d, min(depth + 1, m))):
-            if j >= 0:
-                masks[x[j] == "1"] |= ((1 << width) - 1) << t * width
-        zero, one = masks
-        grown = [defaultdict(int) for _ in range(len(levels) + step)]
-        for i, states in enumerate(levels):
-            to_zero, to_one = grown[i], grown[i + step]
-            for band, k in states.items():
-                up = band >> width
-                if b := up + (band & zero):
-                    to_zero[b] += k
-                if b := up + (band & one):
-                    to_one[b] += k
-        levels = grown
-    parts = [Counter(states) for states in levels]
-    if not by_cluster:
-        return parts[0], None
-    h = hamming_weight(x)
-    return sum(parts, Counter()), {i - h: part for i, part in enumerate(parts) if part}
-
-
 def weight_distribution(
     n: int, x: str, by_cluster: bool = False, budget: int | None = None
 ) -> WeightDistribution:
     """Histogram of embedding weights over all length-n supersequences of x.
 
-    Walks classes of y prefixes, or joins half-length count tables where
-    closed forms of both routes' step counts say that is cheaper.  An n over
+    Walks classes of y prefixes, or joins that walk's halves where closed
+    forms of both routes' step counts say that is cheaper.  An n over
     the budget is refused before either closed form is evaluated.
     """
     validate_bits(x)

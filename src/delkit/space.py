@@ -12,18 +12,19 @@ the last position of y.  A singleton is a member that embeds x exactly once;
 singletons are produced by run-splitting insertions only, so their count is
 governed by how many insertion slots each run of x offers.
 
-The weight histogram over the compatible set has a second route beside the
-walk: _split_half_histogram joins prefix counts of every left half with
-suffix counts of every right half, and _split_half_pays picks between the
-two from closed forms of their step counts.
+The weight histogram over the compatible set has two routes over one level
+walk, _prefix_level, which merges y prefixes that share their live prefix
+counts of x: _walk_histogram runs it to depth n, and _split_half_histogram
+stops it halfway on x and on reversed x and joins the two halves.
+_split_half_pays picks between the routes from closed forms of their step
+counts.
 """
 from __future__ import annotations
 
 import struct
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 from math import comb
 from typing import Iterator
 
@@ -110,11 +111,11 @@ def enumerate_supersequences(
 def _split_half_pays(n: int, m: int) -> bool:
     """Whether _split_half_histogram should replace the walk at (n, m).
 
-    Compares closed forms of each route's Python-level steps: the split-half
-    route takes about 2^L (R + 2) + 2^R (L = n // 2, R = n - L), the walk is
-    charged upsilon(n, m).  That only bounds the walk's merged states on each
-    level, so the rule leans toward the join.  Its 64-bit slots are exact only
-    while C(n, m) < 2^64.
+    Compares closed forms of each route's Python-level steps: 2^L (R + 2) + 2^R
+    (L = n // 2, R = n - L) bounds the split-half route's, since its halves
+    hold at most 2^L and 2^R prefixes, and the walk is charged upsilon(n, m).
+    That only bounds the walk's merged states on each level, so the rule leans
+    toward the join.  Its 64-bit slots are exact only while C(n, m) < 2^64.
     """
     if not 0 <= m <= n:
         return False
@@ -123,28 +124,59 @@ def _split_half_pays(n: int, m: int) -> bool:
     return comb(n, m) < 1 << 64 and steps < upsilon_size(n, m)
 
 
-def _prefix_table(
-    length: int, x: str, lo: int, hi: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(ones, counts) for every u in {0,1}^length, counts[t] = w_{x[:lo+t]}(u).
+def _prefix_level(n: int, x: str, depth: int, by_ones: bool) -> list[dict[int, int]]:
+    """Classes of the length-`depth` prefixes u of x's length-n supersequences.
 
-    Covers the prefixes lo..hi of x.  Built one symbol at a time like the
-    walk's table, updating only the prefixes j <= hi that can still reach
-    lo in the symbols left.
+    u reaches its completions only through its live band, w_{x[:j]}(u) for
+    L - d <= j <= L (L = |u|, d = n - |x|), packed into one int with a slot of
+    C(n, |x|).bit_length() bits per j, which no live count outgrows:
+    w_{x[:j]}(u) sits in slot j - (L - d).  Prefixes that share a band are one
+    state, {band: number of prefixes}, one dict per popcount of u with by_ones.
+    A band of 0 cannot complete and is dropped; at depth n the band is the weight.
     """
-    rows = [(0, (1,) + (0,) * len(x))]
-    for i in range(length):
-        band = range(min(hi, i + 1), max(0, lo - length + i), -1)
-        live = {bit: [j for j in band if x[j - 1] == bit] for bit in "01"}
-        grown = []
-        for ones, counts in rows:
-            for bit in "01":
-                nxt = list(counts)
-                for j in live[bit]:
-                    nxt[j] += nxt[j - 1]
-                grown.append((ones + (bit == "1"), tuple(nxt)))
-        rows = grown
-    return [(ones, counts[lo : hi + 1]) for ones, counts in rows]
+    m = len(x)
+    d, width = n - m, comb(n, m).bit_length()
+    full, step = (1 << width) - 1, 1 if by_ones else 0
+    levels: list[dict[int, int]] = [{1 << d * width: 1}]
+    for i in range(depth):
+        # appending bit b adds w_{x[:j]} into w_{x[:j+1]} wherever x[j] == b,
+        # and j + 1 lands in slot j - (i - d) once the band shifts down one
+        masks = [0, 0]
+        for j in range(max(0, i - d), min(i + 1, m)):
+            masks[x[j] == "1"] |= full << (j - i + d) * width
+        zero, one = masks
+        grown = [defaultdict(int) for _ in range(len(levels) + step)]
+        for ones, states in enumerate(levels):
+            to_zero, to_one = grown[ones], grown[ones + step]
+            for band, k in states.items():
+                up = band >> width
+                if b := up + (band & zero):
+                    to_zero[b] += k
+                if b := up + (band & one):
+                    to_one[b] += k
+        levels = grown
+    return levels
+
+
+def _walk_histogram(
+    n: int, x: str, by_cluster: bool = False, budget: int | None = None
+) -> tuple[Counter[int], dict[int, Counter[int]] | None]:
+    """Weight histogram (and cluster breakdown) from the prefix level at depth n.
+
+    Each level holds at most upsilon(n, |x|) states.
+    """
+    validate_bits(x)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    check_budget(n, budget)
+    m = len(x)
+    if m > n:
+        return Counter(), {} if by_cluster else None
+    parts = [Counter(states) for states in _prefix_level(n, x, n, by_cluster)]
+    if not by_cluster:
+        return parts[0], None
+    h = hamming_weight(x)
+    return sum(parts, Counter()), {i - h: part for i, part in enumerate(parts) if part}
 
 
 def _split_half_histogram(
@@ -154,9 +186,12 @@ def _split_half_histogram(
 
     Every embedding of x in y = uv splits at exactly one j, so
     w_x(uv) = sum_j w_{x[:j]}(u) w_{x[j:]}(v) over max(0, m - R) <= j <= min(m, L)
-    with |u| = L = n // 2 and |v| = R = n - L.  The suffix counts of all v,
-    ordered by popcount, are packed per j into one integer with a 64-bit slot
-    per v, so the weights of every uv for one u are a few big-integer
+    with |u| = L = n // 2 and |v| = R = n - L.  The halves are prefix levels:
+    x's at depth L, where w_{x[:j]}(u) sits in slot j - (m - R), and reversed
+    x's at depth R, where w_{x[j:]}(v) sits in slot L - j; halves that cannot
+    complete are dropped.  The suffix counts of every live v, grouped by
+    popcount, are packed per j into one integer with a 64-bit slot per v, so
+    the weights of every uv for one class of u are a few big-integer
     multiply-adds; every partial sum is at most C(n, m), which must fit a
     slot.  Zero weights (non-members) are dropped; cluster c of uv is
     h(u) + h(v) - h(x), one popcount block of v per cluster.
@@ -166,41 +201,46 @@ def _split_half_histogram(
     m = len(x)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= |x| <= n, got |x|={m}, n={n}")
-    if comb(n, m) >= 1 << 64:
+    width = comb(n, m).bit_length()
+    if width > 64:
         raise ValueError(f"C({n}, {m}) does not fit a 64-bit slot")
-    left, right = n // 2, n - n // 2
+    left, right, full = n // 2, n - n // 2, (1 << width) - 1
     lo, hi = max(0, m - right), min(m, left)
-    prefixes = _prefix_table(left, x, lo, hi)
-    # suffix counts of x in v are prefix counts of reversed x in reversed v
-    suffixes = sorted(
-        (ones, counts[::-1])
-        for ones, counts in _prefix_table(right, x[::-1], m - hi, m - lo)
-    )
-    # one little-endian 64-bit slot per v, whatever the host's byte order
+    # the band of every live v, grouped by popcount; sorting a group puts
+    # equal weights of a row together, which tallies faster
+    suffixes, blocks = [], [0]
+    for states in _prefix_level(n, x[::-1], right, by_cluster):
+        for band in sorted(states):
+            suffixes += [band] * states[band]
+        blocks.append(len(suffixes))
+    # w_{x[j:]}(v) for one j in one little-endian 64-bit slot per v, whatever
+    # the host's byte order
     slots = struct.Struct(f"<{len(suffixes)}Q")
-    packed = [
-        int.from_bytes(slots.pack(*(counts[t] for _, counts in suffixes)), "little")
-        for t in range(hi - lo + 1)
-    ]
+    packed = []
+    for j in range(lo, hi + 1):
+        column = slots.pack(*[v >> (left - j) * width & full for v in suffixes])
+        packed.append(int.from_bytes(column, "little"))
     nbytes = slots.size
-    blocks = list(accumulate((comb(right, k) for k in range(right + 1)), initial=0))
     h = hamming_weight(x)
     # one histogram per cluster, or a single one
     parts = [Counter() for _ in range(n - m + 1 if by_cluster else 1)]
-    for ones, a in prefixes:
-        row = 0
-        for at, b in zip(a, packed):
-            if at:
-                row += at * b
-        if not row:
-            continue
-        weights = slots.unpack(row.to_bytes(nbytes, "little"))
-        if not by_cluster:
-            parts[0].update(weights)
-            continue
-        # the popcounts of v that put uv in a cluster 0 <= c <= n - m
-        for hv in range(max(0, h - ones), min(right, h - ones + n - m) + 1):
-            parts[ones + hv - h].update(weights[blocks[hv] : blocks[hv + 1]])
+    for ones, states in enumerate(_prefix_level(n, x, left, by_cluster)):
+        spans = [(parts[0], 0, len(suffixes))]
+        if by_cluster:
+            # the popcounts of v that put uv in a cluster 0 <= c <= n - m
+            hvs = range(max(0, h - ones), min(right, h - ones + n - m) + 1)
+            spans = [(parts[ones + hv - h], blocks[hv], blocks[hv + 1]) for hv in hvs]
+        for band, k in states.items():
+            row = 0
+            band >>= (lo - m + right) * width
+            for b in packed:
+                if at := band & full:
+                    row += at * b
+                band >>= width
+            weights = slots.unpack(row.to_bytes(nbytes, "little"))
+            for _ in range(k):  # k prefixes share this row
+                for part, start, stop in spans:
+                    part.update(weights[start:stop])
     for part in parts:
         del part[0]  # the strings that do not contain x
     if not by_cluster:

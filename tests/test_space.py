@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 from math import comb
 
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delkit.core import BudgetError
-from delkit.embed import enumerate_masks
+from delkit.embed import count_embeddings_dp, enumerate_masks
 from delkit.entropy import _walk_histogram
 from delkit.oracle import oracle_space, oracle_weight_table
 from delkit.space import (
     RunSlots,
+    _prefix_level,
     _split_half_histogram,
     _split_half_pays,
     cluster_size_closed,
@@ -135,6 +137,76 @@ def test_split_half_histogram_edges(n, x, counts, clusters):
     # frozen from the walk
     assert _split_half_histogram(n, x) == (counts, None)
     assert _split_half_histogram(n, x, by_cluster=True) == (counts, clusters)
+
+
+def _flat_level(level):
+    return Counter(
+        {(ones, band): k for ones, states in enumerate(level) for band, k in states.items()}
+    )
+
+
+def test_prefix_level_holds_the_live_bands_of_every_prefix():
+    # the level contract the join reads: per u, from the dp, w_{x[:j]}(u) in
+    # slot j - (L - d) of x's level, w_{x[j:]}(u) in slot (n - L) - j of
+    # reversed x's level, zero bands dropped
+    dp = cache(count_embeddings_dp)
+    for m in range(6):
+        for x in all_bits(m):
+            for n in range(m, 11):
+                d, width = n - m, comb(n, m).bit_length()
+                for depth in range(n + 1):
+                    live = range(max(0, depth - d), min(depth, m) + 1)
+                    prefixes, suffixes = Counter(), Counter()
+                    for u in all_bits(depth):
+                        ones = u.count("1")
+                        band = sum(dp(u, x[:j]) << (j - depth + d) * width for j in live)
+                        if band:
+                            prefixes[ones, band] += 1
+                        band = sum(
+                            dp(u, x[m - i :]) << (n - depth - m + i) * width for i in live
+                        )
+                        if band:
+                            suffixes[ones, band] += 1
+                    assert _flat_level(_prefix_level(n, x, depth, True)) == prefixes
+                    assert _flat_level(_prefix_level(n, x[::-1], depth, True)) == suffixes
+                    merged = Counter()
+                    for (_, band), k in prefixes.items():
+                        merged[band] += k
+                    assert _prefix_level(n, x, depth, False) == [merged]
+
+
+def _oracle_histograms_np(n, x):
+    """_oracle_histograms, tallied by numpy for n past 20."""
+    import numpy as np
+
+    weights = oracle_weight_table(n, x)
+    ids = np.arange(1 << n)
+    ones = sum((ids >> b) & 1 for b in range(n))
+    top = int(weights.max()) + 1
+    tally = np.bincount(ones * top + weights)
+    h, clusters = x.count("1"), {}
+    for key in np.flatnonzero(tally).tolist():
+        hy, w = divmod(key, top)
+        if w:
+            clusters.setdefault(hy - h, Counter())[w] = int(tally[key])
+    return sum(clusters.values(), Counter()), clusters
+
+
+@pytest.mark.parametrize(
+    "n, x",
+    [(n, x) for x in ("", "00000", "01") for n in (20, 21, 22)] + [(20, "0110100111010001")],
+)
+def test_split_half_histogram_with_merged_and_dead_halves(n, x):
+    # halves that share a band are one class, counted by its multiplicity
+    m, left = len(x), n // 2
+    assert (m + 1) << n <= 1 << 26  # inside the oracle's memory guard
+    for depth, word in ((left, x), (n - left, x[::-1])):
+        level = _prefix_level(n, word, depth, True)
+        assert sum(map(len, level)) < sum(sum(states.values()) for states in level)
+    counts, clusters = _oracle_histograms_np(n, x)
+    for route in (_split_half_histogram, _walk_histogram):
+        assert route(n, x) == (counts, None)
+        assert route(n, x, by_cluster=True) == (counts, clusters)
 
 
 def test_split_half_route_rule():
