@@ -4,12 +4,8 @@ Fix x and n = |x| + d.  Conditioned on observing x after d symbol deletions,
 the posterior over candidate originals y is proportional to the embedding
 weight: P(y | x) = w_x(y) / mu, where mu = C(n, m) 2^(n-m) is the total mask
 mass.  Everything entropic about that posterior is determined by the weight
-histogram.  weight_distribution computes it for any d by one of two routes
-in space, whichever closed forms of their step counts say is cheaper: a walk
-over classes of y prefixes that share their live prefix counts, or a join of
-that walk stopped halfway on x and on reversed x (every embedding in uv
-splits between u and v at exactly one symbol of x).  For d = 1 and d = 2
-closed-form predicted multisets need only x's run lengths.
+histogram, which weight_distribution reads from space for any d.  For d = 1
+and d = 2 closed-form predicted multisets need only x's run lengths.
 
 For d = 2 the mixed case (one insertion lengthens a run, one splits) needs
 care: the structured strings obtained by writing (..., k_t, 1, 1, k_{t+1}, ...)
@@ -29,11 +25,9 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb, isfinite, log2
 
-from .core import Rle, check_budget, hamming_weight, validate_bits
+from .core import Rle, hamming_weight, validate_bits
 from .space import (
-    _split_half_histogram,
-    _split_half_pays,
-    _walk_histogram,
+    _weight_histogram,
     cluster_size_closed,
     composition_slots,
     upsilon_size,
@@ -128,20 +122,9 @@ def weight_distribution(
 ) -> WeightDistribution:
     """Histogram of embedding weights over all length-n supersequences of x.
 
-    Walks classes of y prefixes, or joins that walk's halves where closed
-    forms of both routes' step counts say that is cheaper.  An n over
-    the budget is refused before either closed form is evaluated.
+    space._weight_histogram checks the input and picks the route.
     """
-    validate_bits(x)
-    check_budget(n, budget)
-    route = _split_half_histogram if _split_half_pays(n, len(x)) else _walk_histogram
-    counts, clusters = route(n, x, by_cluster, budget)
-    breakdown = None
-    if clusters is not None:
-        breakdown = {
-            c: dict(sorted(clusters[c].items())) for c in sorted(clusters)
-        }
-    return WeightDistribution(n, x, dict(sorted(counts.items())), breakdown)
+    return WeightDistribution(n, x, *_weight_histogram(n, x, by_cluster, budget))
 
 
 def shannon_entropy(d: WeightDistribution) -> float:
@@ -234,12 +217,16 @@ def _double_insertion_cases(ks: tuple[int, ...]) -> tuple[Counter, Counter, Coun
     """
     ell = len(ks)
     m = sum(ks)
+    # both insertions in one of the c_a runs of length a, or one in each of two
+    # runs; pairs are counted by length, since g_chain asks once per step
     lengthen: Counter[int] = Counter()
-    for k in ks:
-        lengthen[comb(k + 2, 2)] += 1
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            lengthen[(ks[i] + 1) * (ks[j] + 1)] += 1
+    tally = list(Counter(ks).items())
+    for i, (a, ca) in enumerate(tally):
+        lengthen[comb(a + 2, 2)] += ca
+        if ca > 1:
+            lengthen[(a + 1) ** 2] += comb(ca, 2)
+        for b, cb in tally[i + 1 :]:
+            lengthen[(a + 1) * (b + 1)] += ca * cb
     t = sum(composition_slots(ks))
     split: Counter[int] = Counter({1: t * (t + 1) // 2})
     mixed: Counter[int] = Counter()

@@ -168,13 +168,13 @@ def oracle_weight_table(n: int, x: str, budget: OracleBudget = OracleBudget()):
     import numpy as np
 
     size = 1 << n
-    ids = np.arange(size, dtype=np.int64)
-    xb = np.array([1 if c == "1" else 0 for c in x], dtype=np.int64)
+    xb = [int(c == "1") for c in x]
     state = [np.ones(size, dtype=np.int64)] + [
         np.zeros(size, dtype=np.int64) for _ in range(m)
     ]
     for pos in range(n):
-        bit = (ids >> (n - 1 - pos)) & 1
+        # the middle axis is y[pos]: add in place where it equals x[j-1]
+        halves = [s.reshape(1 << pos, 2, -1) for s in state]
         for j in range(min(m, pos + 1), 0, -1):
-            state[j] += (bit == xb[j - 1]) * state[j - 1]
+            halves[j][:, xb[j - 1]] += halves[j - 1][:, xb[j - 1]]
     return state[m]

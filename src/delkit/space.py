@@ -16,8 +16,8 @@ The weight histogram over the compatible set has two routes over one level
 walk, _prefix_level, which merges y prefixes that share their live prefix
 counts of x: _walk_histogram runs it to depth n, and _split_half_histogram
 stops it halfway on x and on reversed x and joins the two halves.
-_split_half_pays picks between the routes from closed forms of their step
-counts.
+_weight_histogram, the one entry to both, checks the input, lets
+_split_half_pays pick the route and sorts the result.
 """
 from __future__ import annotations
 
@@ -159,19 +159,12 @@ def _prefix_level(n: int, x: str, depth: int, by_ones: bool) -> list[dict[int, i
 
 
 def _walk_histogram(
-    n: int, x: str, by_cluster: bool = False, budget: int | None = None
+    n: int, x: str, by_cluster: bool = False
 ) -> tuple[Counter[int], dict[int, Counter[int]] | None]:
     """Weight histogram (and cluster breakdown) from the prefix level at depth n.
 
     Each level holds at most upsilon(n, |x|) states.
     """
-    validate_bits(x)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    check_budget(n, budget)
-    m = len(x)
-    if m > n:
-        return Counter(), {} if by_cluster else None
     parts = [Counter(states) for states in _prefix_level(n, x, n, by_cluster)]
     if not by_cluster:
         return parts[0], None
@@ -180,7 +173,7 @@ def _walk_histogram(
 
 
 def _split_half_histogram(
-    n: int, x: str, by_cluster: bool = False, budget: int | None = None
+    n: int, x: str, by_cluster: bool = False
 ) -> tuple[Counter[int], dict[int, Counter[int]] | None]:
     """Weight histogram (and cluster breakdown) of x's length-n supersequences.
 
@@ -196,11 +189,7 @@ def _split_half_histogram(
     slot.  Zero weights (non-members) are dropped; cluster c of uv is
     h(u) + h(v) - h(x), one popcount block of v per cluster.
     """
-    validate_bits(x)
-    check_budget(n, budget)
     m = len(x)
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= |x| <= n, got |x|={m}, n={n}")
     width = comb(n, m).bit_length()
     if width > 64:
         raise ValueError(f"C({n}, {m}) does not fit a 64-bit slot")
@@ -246,6 +235,28 @@ def _split_half_histogram(
     if not by_cluster:
         return parts[0], None
     return sum(parts, Counter()), {c: part for c, part in enumerate(parts) if part}
+
+
+def _weight_histogram(
+    n: int, x: str, by_cluster: bool = False, budget: int | None = None
+) -> tuple[dict[int, int], dict[int, dict[int, int]] | None]:
+    """Either route's histogram and breakdown, sorted by weight and by cluster.
+
+    Refuses a non-bit x, an n over the budget, n < 0 and |x| > n, in that
+    order, before _split_half_pays runs; the routes trust these checks.
+    """
+    validate_bits(x)
+    check_budget(n, budget)
+    m = len(x)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    if m > n:
+        raise ValueError(f"need 0 <= |x| <= n, got |x|={m}, n={n}")
+    route = _split_half_histogram if _split_half_pays(n, m) else _walk_histogram
+    counts, clusters = route(n, x, by_cluster)
+    if clusters is not None:
+        clusters = {c: dict(sorted(clusters[c].items())) for c in sorted(clusters)}
+    return dict(sorted(counts.items())), clusters
 
 
 def _check_cluster_shape(n: int, m: int, h: int) -> None:

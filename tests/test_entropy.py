@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delkit import entropy
+from delkit import space
 from delkit.core import complement
 from delkit.entropy import (
     WeightDistribution,
     _double_insertion_cases,
-    _walk_histogram,
     delta_single,
     double_count_identity,
     double_weight_identity,
@@ -25,7 +24,12 @@ from delkit.entropy import (
     shannon_entropy,
     weight_distribution,
 )
-from delkit.space import _split_half_pays, enumerate_supersequences, upsilon_size
+from delkit.space import (
+    _split_half_pays,
+    _walk_histogram,
+    enumerate_supersequences,
+    upsilon_size,
+)
 
 from helpers import all_bits, compositions
 
@@ -64,11 +68,11 @@ def test_weight_distribution_takes_the_route_the_rule_picks(monkeypatch):
         raise AssertionError("took the other route")
 
     # (19, 7) joins half tables, (13, 11) walks its 92 supersequences
-    monkeypatch.setattr(entropy, "_walk_histogram", wrong_route)
+    monkeypatch.setattr(space, "_walk_histogram", wrong_route)
     d = weight_distribution(19, "0110101", by_cluster=True)
     assert d.total_strings == upsilon_size(19, 7) == 480_492
     monkeypatch.undo()
-    monkeypatch.setattr(entropy, "_split_half_histogram", wrong_route)
+    monkeypatch.setattr(space, "_split_half_histogram", wrong_route)
     assert weight_distribution(13, "01101010110", by_cluster=True).total_strings == 92
 
 

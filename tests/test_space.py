@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delkit import space
 from delkit.core import BudgetError
 from delkit.embed import count_embeddings_dp, enumerate_masks
-from delkit.entropy import _walk_histogram
+from delkit.entropy import weight_distribution
 from delkit.oracle import oracle_space, oracle_weight_table
 from delkit.space import (
     RunSlots,
     _prefix_level,
     _split_half_histogram,
     _split_half_pays,
+    _walk_histogram,
     cluster_size_closed,
     cluster_size_recursive,
     cluster_size_simple,
@@ -224,7 +226,35 @@ def test_split_half_guard_keeps_slots_exact():
     assert comb(70, 35) >= 1 << 64 and (1 << 35) * 38 < upsilon_size(70, 35)
     assert not _split_half_pays(70, 35)
     with pytest.raises(ValueError, match="64-bit slot"):
-        _split_half_histogram(70, "01" * 17 + "0", budget=70)
+        _split_half_histogram(70, "01" * 17 + "0")
+
+
+@pytest.mark.parametrize("by_cluster", [False, True])
+@pytest.mark.parametrize(
+    "n, x, message",
+    [
+        (10, "0a1", "not a bit string: '0a1'"),
+        (10**9, "1", "n=1000000000 exceeds enumeration budget 24"),
+        (-1, "", "need n >= 0, got -1"),
+        (2, "111", "need 0 <= |x| <= n, got |x|=3, n=2"),
+        # two faults at once: the first check in that order answers
+        (10**9, "0a1", "not a bit string: '0a1'"),
+        (-1, "111", "need n >= 0, got -1"),
+    ],
+)
+def test_weight_histogram_refuses_before_either_route(
+    monkeypatch, n, x, message, by_cluster
+):
+    # the routes trust their one entry to check x, n and the budget
+    def no_route(*args):
+        raise AssertionError("a route ran on input the entry must refuse")
+
+    monkeypatch.setattr(space, "_walk_histogram", no_route)
+    monkeypatch.setattr(space, "_split_half_histogram", no_route)
+    for entry in (space._weight_histogram, weight_distribution):
+        with pytest.raises(ValueError) as refused:
+            entry(n, x, by_cluster)
+        assert str(refused.value) == message
 
 
 def test_enumerate_supersequences_budget():
