@@ -119,7 +119,12 @@ def _emit_table(
         buf.write(f"# {k}={v}\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    w.writerows([_cell(v) for v in row] for row in rows)
+    # csv writes an int or a str as str(v), as _cell does; each column holds
+    # one type, so a first row without floats or bools needs no _cell
+    if rows and any(isinstance(v, (bool, float)) for v in rows[0]):
+        w.writerows([_cell(v) for v in row] for row in rows)
+    else:
+        w.writerows(rows)
     _emit(buf.getvalue(), args.out)
 
 

@@ -8,7 +8,6 @@ here can overflow.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb
 
 __all__ = [
@@ -27,6 +26,33 @@ __all__ = [
 Mask = tuple[int, ...]
 
 DEFAULT_BUDGET = 24  # max string length for exhaustive enumerations
+
+
+class _Value:
+    """Base of the value types: == and repr over the fields that __init__
+    sets, in the order it sets them."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Value):
+    """A _Value whose fields only __init__ sets; it hashes by them."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
 
 class BudgetError(ValueError):
@@ -92,8 +118,7 @@ def multichoose(objects: int, bins: int) -> int:
     return comb(objects + bins - 1, objects)
 
 
-@dataclass(frozen=True)
-class Rle:
+class Rle(_Frozen):
     """Run-length encoding: the leading symbol plus the maximal-run lengths.
 
     Adjacent runs alternate symbols by construction, so the leading symbol
@@ -102,14 +127,12 @@ class Rle:
     leading symbol '0' by convention.
     """
 
-    leading: str
-    lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.leading not in ("0", "1"):
-            raise ValueError(f"leading symbol must be '0' or '1', got {self.leading!r}")
-        if any(not isinstance(k, int) or k < 1 for k in self.lengths):
-            raise ValueError(f"run lengths must be positive integers, got {self.lengths}")
+    def __init__(self, leading: str, lengths: tuple[int, ...]) -> None:
+        if leading not in ("0", "1"):
+            raise ValueError(f"leading symbol must be '0' or '1', got {leading!r}")
+        if any(not isinstance(k, int) or k < 1 for k in lengths):
+            raise ValueError(f"run lengths must be positive integers, got {lengths}")
+        vars(self).update(leading=leading, lengths=lengths)
 
     @classmethod
     def encode(cls, s: str) -> "Rle":

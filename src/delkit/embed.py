@@ -33,11 +33,10 @@ prefix as soon as one of its factors is 0 (the maps of nonzero weight).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterator
 
-from .core import Mask, _run_lengths, binomial, check_budget, validate_bits
+from .core import Mask, _Frozen, _run_lengths, binomial, check_budget, validate_bits
 
 __all__ = [
     "BlockMap",
@@ -143,21 +142,19 @@ def sigma_count(lp: int, l: int) -> int:
     return binomial(lp + u, u)
 
 
-@dataclass(frozen=True)
-class BlockMap:
+class BlockMap(_Frozen):
     """A strictly increasing map of run indices with f(i) = i (mod 2).
 
     ``images`` holds f(1), ..., f(lp) as 1-based run indices of y.
     """
 
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, images: tuple[int, ...]) -> None:
         prev = 0
-        for i, v in enumerate(self.images, start=1):
+        for i, v in enumerate(images, start=1):
             if v <= prev or (v - i) % 2:
-                raise ValueError(f"not an increasing parity-preserving map: {self.images}")
+                raise ValueError(f"not an increasing parity-preserving map: {images}")
             prev = v
+        vars(self).update(images=images)
 
 
 def _walk_images(

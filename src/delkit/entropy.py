@@ -22,10 +22,9 @@ chain down to the constant string.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, isfinite, log2
 
-from .core import Rle, hamming_weight, validate_bits
+from .core import Rle, _Value, hamming_weight, validate_bits
 from .space import (
     _weight_histogram,
     cluster_size_closed,
@@ -57,8 +56,7 @@ def mu(n: int, m: int) -> int:
     return comb(n, m) * 2 ** (n - m)
 
 
-@dataclass
-class WeightDistribution:
+class WeightDistribution(_Value):
     """Exact histogram {weight: string count} over the compatible set of x.
 
     Construction checks conservation: string counts must sum to the size of
@@ -68,12 +66,14 @@ class WeightDistribution:
     count and mask mass C(n,m) C(n-m,c).
     """
 
-    n: int
-    x: str
-    counts: dict[int, int]
-    by_cluster: dict[int, dict[int, int]] | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n: int,
+        x: str,
+        counts: dict[int, int],
+        by_cluster: dict[int, dict[int, int]] | None = None,
+    ) -> None:
+        self.n, self.x, self.counts, self.by_cluster = n, x, counts, by_cluster
         validate_bits(self.x)
         m = len(self.x)
         if not 0 <= m <= self.n:

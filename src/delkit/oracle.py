@@ -14,12 +14,11 @@ user of numpy, which it imports on first call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from math import comb, isfinite, log2
 
-from .core import DEFAULT_BUDGET, BudgetError, Mask, check_budget
+from .core import DEFAULT_BUDGET, BudgetError, Mask, _Frozen, _Value, check_budget
 
 __all__ = [
     "EntropyReport",
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(_Frozen):
     """Size guards for brute-force work.
 
     max_n caps string lengths anywhere in the oracle, max_scan_n caps
@@ -41,9 +39,10 @@ class OracleBudget:
     index-subset iteration.
     """
 
-    max_n: int = DEFAULT_BUDGET
-    max_scan_n: int = 14
-    max_subsets: int = 2_000_000
+    def __init__(
+        self, max_n: int = DEFAULT_BUDGET, max_scan_n: int = 14, max_subsets: int = 2_000_000
+    ) -> None:
+        vars(self).update(max_n=max_n, max_scan_n=max_scan_n, max_subsets=max_subsets)
 
 
 def oracle_count(y: str, x: str, budget: OracleBudget = OracleBudget()) -> int:
@@ -60,14 +59,13 @@ def oracle_count(y: str, x: str, budget: OracleBudget = OracleBudget()) -> int:
     )
 
 
-@dataclass
-class OracleSpace:
+class OracleSpace(_Value):
     """Full listing of one compatible set: y -> weight (lex order), masks on request."""
 
-    n: int
-    x: str
-    weights: dict[str, int]
-    masks: dict[str, list[Mask]] | None = None
+    def __init__(
+        self, n: int, x: str, weights: dict[str, int], masks: dict[str, list[Mask]] | None = None
+    ) -> None:
+        self.n, self.x, self.weights, self.masks = n, x, weights, masks
 
     def singletons(self) -> list[str]:
         return [y for y, w in self.weights.items() if w == 1]
@@ -111,13 +109,11 @@ def oracle_space(
     return OracleSpace(n, x, weights, masks)
 
 
-@dataclass
-class EntropyReport:
+class EntropyReport(_Value):
     """Entropy measures of one posterior: Shannon, Renyi by order, min."""
 
-    shannon: float
-    renyi: dict[float, float]
-    min_entropy: float
+    def __init__(self, shannon: float, renyi: dict[float, float], min_entropy: float) -> None:
+        self.shannon, self.renyi, self.min_entropy = shannon, renyi, min_entropy
 
 
 def oracle_entropy(

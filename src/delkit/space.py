@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import struct
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from typing import Iterator
@@ -31,6 +30,7 @@ from typing import Iterator
 from .core import (
     Mask,
     Rle,
+    _Frozen,
     binomial,
     check_budget,
     hamming_weight,
@@ -158,6 +158,14 @@ def _prefix_level(n: int, x: str, depth: int, by_ones: bool) -> list[dict[int, i
     return levels
 
 
+def _total(parts: list[Counter[int]]) -> Counter[int]:
+    """The clusters' histograms added up in one Counter."""
+    total: Counter[int] = Counter()
+    for part in parts:
+        total.update(part)
+    return total
+
+
 def _walk_histogram(
     n: int, x: str, by_cluster: bool = False
 ) -> tuple[Counter[int], dict[int, Counter[int]] | None]:
@@ -169,7 +177,7 @@ def _walk_histogram(
     if not by_cluster:
         return parts[0], None
     h = hamming_weight(x)
-    return sum(parts, Counter()), {i - h: part for i, part in enumerate(parts) if part}
+    return _total(parts), {i - h: part for i, part in enumerate(parts) if part}
 
 
 def _split_half_histogram(
@@ -234,7 +242,7 @@ def _split_half_histogram(
         del part[0]  # the strings that do not contain x
     if not by_cluster:
         return parts[0], None
-    return sum(parts, Counter()), {c: part for c, part in enumerate(parts) if part}
+    return _total(parts), {c: part for c, part in enumerate(parts) if part}
 
 
 def _weight_histogram(
@@ -369,15 +377,14 @@ def maximal_initials_cluster(n: int, m: int, h: int, c: int) -> int:
     return multichoose(n - m - c, h) * multichoose(c, m - h)
 
 
-@dataclass(frozen=True)
-class RunSlots:
+class RunSlots(_Frozen):
     """Insertion-slot counts of a string, split by run symbol.
 
     rho0 counts the slots offered by runs of 0s, rho1 by runs of 1s.
     """
 
-    rho0: int
-    rho1: int
+    def __init__(self, rho0: int, rho1: int) -> None:
+        vars(self).update(rho0=rho0, rho1=rho1)
 
     @property
     def total(self) -> int:

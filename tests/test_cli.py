@@ -547,6 +547,27 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert proc.returncode == 0 and proc.stdout == "False\nFalse\n"
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # together about 12 ms of every start, and delkit needs neither
+    code = (
+        "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+        "loaded()\n"
+        "import delkit\n"
+        "loaded()\n"
+        "from delkit.cli import main\n"
+        "loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['sweep', '--m', '3', '--n', '5'])\n"
+        "    main(['distribution', '--x', '0110101', '--n', '19', '--by-cluster'])\n"
+        "    main(['gchain', '--x', '0110', '--deletions', '2'])\n"
+        "loaded()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n" * 4
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
