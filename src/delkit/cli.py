@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from itertools import product
 
@@ -185,14 +186,10 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     ]
     if d.by_cluster is not None:
         header = ["cluster", "weight", "count"]
-        rows = [
-            (c, w, k)
-            for c in sorted(d.by_cluster)
-            for w, k in sorted(d.by_cluster[c].items())
-        ]
+        rows = [(c, w, k) for c, part in d.by_cluster.items() for w, k in part.items()]
     else:
         header = ["weight", "count"]
-        rows = sorted(d.counts.items())
+        rows = list(d.counts.items())
     _emit_table(args, meta, header, rows)
     return 0
 
@@ -270,12 +267,12 @@ def _suite_clusters(max_m: int) -> list[Row]:
         for n in range(m, min(m + 3, 12) + 1):
             for h in range(0, m + 1):
                 x = "1" * h + "0" * (m - h)
-                sp = oracle.oracle_space(n, x)
+                tally = Counter(y.count("1") - h for y in oracle.oracle_space(n, x).weights)
                 for c in range(0, n - m + 1):
                     closed = space.cluster_size_closed(n, m, h, c)
                     simple = space.cluster_size_simple(n, m, h, c)
                     rec = space.cluster_size_recursive(n, x, c)
-                    enum = sum(1 for y in sp.weights if y.count("1") - h == c)
+                    enum = tally[c]
                     ok = closed == simple == rec == enum
                     rows.append(
                         (f"n={n} m={m} h={h} c={c}", str(closed), str(enum), ok)
@@ -289,15 +286,12 @@ def _suite_initials(max_m: int) -> list[Row]:
         for n in range(m, min(m + 3, 11) + 1):
             for x in _all_bits(m):
                 h = x.count("1")
-                total = 0
-                per_cluster: dict[int, int] = {}
-                for y in _all_bits(n):
-                    if space.is_maximal_initial(y, x):
-                        total += 1
-                        c = y.count("1") - h
-                        per_cluster[c] = per_cluster.get(c, 0) + 1
+                tally = Counter(
+                    y.count("1") - h for y in _all_bits(n) if space.is_maximal_initial(y, x)
+                )
+                total = sum(tally.values())
                 ok = total == space.maximal_initials_total(n, m) and all(
-                    per_cluster.get(c, 0) == space.maximal_initials_cluster(n, m, h, c)
+                    tally[c] == space.maximal_initials_cluster(n, m, h, c)
                     for c in range(0, n - m + 1)
                 )
                 rows.append(
@@ -312,12 +306,11 @@ def _suite_singletons(max_m: int) -> list[Row]:
         for n in range(m, min(m + 3, 11) + 1):
             for x in _all_bits(m):
                 h = x.count("1")
-                sp = oracle.oracle_space(n, x)
-                singles = sp.singletons()
+                singles = oracle.oracle_space(n, x).singletons()
+                tally = Counter(y.count("1") - h for y in singles)
                 closed = space.singleton_count(n, x)
                 ok = len(singles) == closed and all(
-                    sum(1 for y in singles if y.count("1") - h == c)
-                    == space.singleton_cluster_count(n, x, c)
+                    tally[c] == space.singleton_cluster_count(n, x, c)
                     for c in range(0, n - m + 1)
                 )
                 rows.append((f"n={n} x={x}", str(closed), str(len(singles)), ok))
@@ -332,10 +325,7 @@ def _lemma_rows(max_m: int, extra: int) -> list[Row]:
         for x in _all_bits(m):
             predicted = predict(x).counts
             table = oracle.oracle_weight_table(n, x)
-            observed: dict[int, int] = {}
-            for w in table:
-                if w:
-                    observed[int(w)] = observed.get(int(w), 0) + 1
+            observed = Counter(table[table > 0].tolist())
             rows.append(
                 (
                     f"x={x}",
@@ -485,9 +475,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             _check_out(args.out)
         return args.func(args)
-    except BudgetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -107,8 +107,6 @@ def enumerate_masks(y: str, x: str, budget: int | None = None) -> list[Mask]:
     validate_bits(x)
     check_budget(len(y), budget, "len(y)")
     n, m = len(y), len(x)
-    if m == 0:
-        return [()]
     out: list[Mask] = []
     prefix: list[int] = []
 
@@ -184,26 +182,27 @@ def _walk_images(
         stack.extend(reversed(children))
 
 
-def _aligned_run_lengths(y: str, x: str) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Run lengths of (y, x) after dropping y's unusable leading run.
+def _aligned_run_lengths(
+    y: str, x: str
+) -> tuple[tuple[int, ...], tuple[int, ...], list[int]] | None:
+    """Run lengths of (y, x) after dropping y's unusable leading run, and the
+    parity sums of y's: q[v + 1] = ky[v-1] + ky[v-3] + ..., so the same-parity
+    runs of y in (u, v] hold q[v + 1] - q[u] symbols.
 
-    None when y runs out of runs, i.e. no embedding can exist.
+    None when a nonempty x finds no run of y to start in, i.e. no embedding
+    can exist; an empty x keeps all of y.
     """
+    validate_bits(y)
+    validate_bits(x)
     ky = _run_lengths(y)
-    if y[0] != x[0]:
+    if x and y[:1] != x[0]:
         ky = ky[1:]
         if not ky:
             return None
-    return ky, _run_lengths(x)
-
-
-def _parity_sums(ky: tuple[int, ...]) -> list[int]:
-    """q[v + 1] = ky[v-1] + ky[v-3] + ..., so the same-parity runs of y in
-    (u, v] hold q[v + 1] - q[u] symbols."""
     q = [0] * (len(ky) + 2)
     for v in range(1, len(ky) + 1):
         q[v + 1] = q[v - 1] + ky[v - 1]
-    return q
+    return ky, _run_lengths(x), q
 
 
 def count_embeddings_runs(y: str, x: str) -> int:
@@ -212,18 +211,11 @@ def count_embeddings_runs(y: str, x: str) -> int:
     A chain sum over the images f(1), ..., f(lp) of the block maps, one step
     per run of x; see the module docstring.
     """
-    validate_bits(y)
-    validate_bits(x)
-    if not x:
-        return 1
-    if not y:
-        return 0
     aligned = _aligned_run_lengths(y, x)
     if aligned is None:
         return 0
-    ky, kx = aligned
+    ky, kx, q = aligned
     lp, l = len(kx), len(ky)
-    q = _parity_sums(ky)
     chain = {0: 1}
     for i, need in enumerate(kx, start=1):
         nxt = {}
@@ -251,17 +243,10 @@ def block_map_weights(y: str, x: str) -> list[tuple[BlockMap, int]]:
     The weights partition the mask set: they sum to count_embeddings_dp(y, x).
     Maps are indexed against y's runs after leading-symbol alignment.
     """
-    validate_bits(y)
-    validate_bits(x)
-    if not x:
-        return [(BlockMap(()), 1)]
-    if not y:
-        return []
     aligned = _aligned_run_lengths(y, x)
     if aligned is None:
         return []
-    ky, kx = aligned
-    q = _parity_sums(ky)
+    ky, kx, q = aligned
 
     def factor(i: int, u: int, v: int) -> int:
         avail = q[v + 1] - q[u]

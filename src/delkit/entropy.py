@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from math import comb, isfinite, log2
 
-from .core import Rle, _Value, hamming_weight, validate_bits
+from .core import _Value, _run_lengths, hamming_weight, validate_bits
 from .space import (
     _weight_histogram,
     cluster_size_closed,
@@ -175,12 +175,10 @@ def g_transform(x: str) -> str:
     validate_bits(x)
     if not x:
         raise ValueError("g_transform needs a nonempty string")
-    r = Rle.encode(x)
-    if r.block_count <= 1:
+    rest = x.lstrip(x[0])
+    if not rest:
         return x
-    flipped = "1" if r.leading == "0" else "0"
-    merged = (r.lengths[0] + r.lengths[1],) + r.lengths[2:]
-    return Rle(flipped, merged).decode()
+    return rest[:1] * (len(x) - len(rest)) + rest
 
 
 def g_chain(x: str) -> list[str]:
@@ -201,11 +199,9 @@ def predicted_weights_single(x: str) -> WeightDistribution:
     weight-1 singletons.
     """
     validate_bits(x)
-    r = Rle.encode(x)
-    counts: Counter[int] = Counter()
-    for k in r.lengths:
-        counts[k + 1] += 1
-    counts[1] += len(x) - r.block_count + 2
+    ks = _run_lengths(x)
+    counts = Counter(k + 1 for k in ks)
+    counts[1] += len(x) - len(ks) + 2
     return WeightDistribution(len(x) + 1, x, dict(sorted(counts.items())))
 
 
@@ -251,7 +247,7 @@ def predicted_weights_double(x: str) -> WeightDistribution:
     validate_bits(x)
     if not x:
         raise ValueError("double insertion needs a nonempty string")
-    lengthen, mixed, split = _double_insertion_cases(Rle.encode(x).lengths)
+    lengthen, mixed, split = _double_insertion_cases(_run_lengths(x))
     merged = lengthen + mixed + split
     return WeightDistribution(len(x) + 2, x, dict(sorted(merged.items())))
 

@@ -29,8 +29,8 @@ from typing import Iterator
 
 from .core import (
     Mask,
-    Rle,
     _Frozen,
+    _run_lengths,
     binomial,
     check_budget,
     hamming_weight,
@@ -113,15 +113,24 @@ def _split_half_pays(n: int, m: int) -> bool:
 
     Compares closed forms of each route's Python-level steps: 2^L (R + 2) + 2^R
     (L = n // 2, R = n - L) bounds the split-half route's, since its halves
-    hold at most 2^L and 2^R prefixes, and the walk is charged upsilon(n, m).
-    That only bounds the walk's merged states on each level, so the rule leans
-    toward the join.  Its 64-bit slots are exact only while C(n, m) < 2^64.
+    hold at most 2^L and 2^R prefixes.  The walk is charged the smaller of two
+    bounds on its merged states: upsilon(n, m), and (n + 1)^2 prod_{j <= m}
+    (C(n, j) + 1), since on each of its n + 1 levels and in each of at most
+    n + 1 popcount groups a live slot j takes at most C(n, j) + 1 values.  The
+    second bound decides short x, where the first is off by orders of
+    magnitude; it is only evaluated once the first has chosen the join.  The
+    join's 64-bit slots are exact only while C(n, m) < 2^64.
     """
     if not 0 <= m <= n:
         return False
     left, right = n // 2, n - n // 2
     steps = (1 << left) * (right + 2) + (1 << right)
-    return comb(n, m) < 1 << 64 and steps < upsilon_size(n, m)
+    if comb(n, m) >= 1 << 64 or steps >= upsilon_size(n, m):
+        return False
+    states = (n + 1) ** 2
+    for j in range(m + 1):
+        states *= comb(n, j) + 1
+    return steps < states
 
 
 def _prefix_level(n: int, x: str, depth: int, by_ones: bool) -> list[dict[int, int]]:
@@ -416,12 +425,10 @@ def run_slots(x: str) -> RunSlots:
     validate_bits(x)
     if not x:
         raise ValueError("run_slots needs a nonempty string")
-    r = Rle.encode(x)
-    slots = composition_slots(r.lengths)
-    rho = {"0": 0, "1": 0}
-    for sym, s in zip(r.symbols(), slots):
-        rho[sym] += s
-    return RunSlots(rho0=rho["0"], rho1=rho["1"])
+    slots = composition_slots(_run_lengths(x))
+    # runs at even positions carry x[0], runs at odd positions the other symbol
+    lead, other = sum(slots[::2]), sum(slots[1::2])
+    return RunSlots(other, lead) if x[0] == "1" else RunSlots(lead, other)
 
 
 def singleton_count(n: int, x: str) -> int:

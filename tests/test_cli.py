@@ -276,6 +276,18 @@ def test_an_n_over_the_budget_is_refused_at_once(capsys, argv):
     assert err.startswith(f"error: n={n} exceeds enumeration budget ")
 
 
+def test_short_x_with_a_raised_budget_walks(capsys):
+    # the empty x has weight 1 in every y, so cluster c is C(n, c) strings of
+    # weight 1; the split-half join would need 2^50-entry half tables
+    code, out, _ = run(
+        capsys, "distribution", "--x", "", "--n", "100", "--budget", "100", "--by-cluster"
+    )
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert header == ["cluster", "weight", "count"]
+    assert rows == [[str(c), "1", str(math.comb(100, c))] for c in range(101)]
+
+
 def test_sweep_point_mass_entropies_are_positive_zero(capsys):
     # at n = m every posterior is a point mass, and R_2 used to print as -0
     _, out, _ = run(capsys, "sweep", "--m", "3", "--n", "3", "--alpha", "0.5", "2")

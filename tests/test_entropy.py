@@ -251,6 +251,30 @@ def test_g_transform_preserves_length_and_drops_a_run(x):
     assert Rle.encode(gx).block_count == max(ell - 1, 1)
 
 
+def test_run_readers_agree_with_rle_exhaustively():
+    # g_transform, run_slots and predicted_weights_single read runs on their
+    # own; Rle.encode is the independent side
+    from delkit.core import Rle
+
+    for m in range(1, 13):
+        for x in all_bits(m):
+            r = Rle.encode(x)
+            ks = r.lengths
+            if len(ks) == 1:
+                assert g_transform(x) == x
+            else:
+                flip = "1" if r.leading == "0" else "0"
+                assert g_transform(x) == Rle(flip, (ks[0] + ks[1],) + ks[2:]).decode()
+            rho: Counter[str] = Counter()
+            for sym, slots in zip(r.symbols(), space.composition_slots(ks)):
+                rho[sym] += slots
+            assert space.run_slots(x) == space.RunSlots(rho["0"], rho["1"])
+            counts: Counter[int] = Counter({1: m - r.block_count + 2})
+            for k in ks:
+                counts[k + 1] += 1
+            assert predicted_weights_single(x).counts == counts
+
+
 def test_g_chain_golden():
     assert g_chain("101010") == [
         "101010", "001010", "111010", "000010", "111110", "000000",

@@ -229,6 +229,13 @@ def test_split_half_guard_keeps_slots_exact():
         _split_half_histogram(70, "01" * 17 + "0")
 
 
+@pytest.mark.parametrize("n, m", [(24, 0), (44, 1), (100, 0), (60, 2)])
+def test_split_half_rule_walks_short_x(n, m):
+    # upsilon(n, m) overstates the walk's merged states by orders of magnitude
+    # here; the bound (n + 1)^2 prod_{j <= m} (C(n, j) + 1) keeps it walking
+    assert not _split_half_pays(n, m)
+
+
 @pytest.mark.parametrize("by_cluster", [False, True])
 @pytest.mark.parametrize(
     "n, x, message",
