@@ -21,7 +21,8 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from itertools import product
+from itertools import chain, product
+from typing import Iterable, Iterator
 
 from . import entropy as ent
 from . import oracle, space
@@ -107,7 +108,7 @@ def _emit_table(
     args: argparse.Namespace,
     meta: list[tuple[str, object]],
     header: list[str],
-    rows: list,
+    rows: Iterable,
 ) -> None:
     """CSV under ``# key=value`` lines, or JSON: the meta keys plus one row object each."""
     if args.format == "json":
@@ -120,11 +121,14 @@ def _emit_table(
         buf.write(f"# {k}={v}\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    # csv writes an int or a str as str(v), as _cell does; each column holds
-    # one type, so a first row without floats or bools needs no _cell
-    if rows and any(isinstance(v, (bool, float)) for v in rows[0]):
-        w.writerows([_cell(v) for v in row] for row in rows)
-    else:
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        rows = chain([first], rows)
+        # csv writes an int or a str as str(v), as _cell does; each column
+        # holds one type, so a first row without floats or bools needs no _cell
+        if any(isinstance(v, (bool, float)) for v in first):
+            rows = ([_cell(v) for v in row] for row in rows)
         w.writerows(rows)
     _emit(buf.getvalue(), args.out)
 
@@ -194,6 +198,18 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     return 0
 
 
+def _orbit_rows(m: int, n: int, budget: int, tail) -> Iterator[tuple]:
+    """(x, n, *tail(d)) for every x of length m in lex order, d its weight distribution.
+
+    Reversal and complement keep every weight, so tail runs once per orbit, on
+    its lex minimum; the sorted minima share walked prefixes.
+    """
+    keys = {x: min(x, x[::-1], (c := complement(x)), c[::-1]) for x in _all_bits(m)}
+    reps = sorted(set(keys.values()))
+    tails = {k: tail(d) for k, d in zip(reps, ent.weight_distributions(n, reps, budget=budget))}
+    return ((x, n, *tails[k]) for x, k in keys.items())
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     budget, explicit = _resolve_budget(args)
     m, n = args.m, args.n
@@ -213,30 +229,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if o in seen:
             raise ValueError(f"--alpha orders {seen[o]!r} and {a!r} share the label R_{o}")
         seen[o] = a
-    # reversal and complement preserve every weight, so each x shares the row
-    # of its orbit's lexicographic minimum, which lex order meets first
-    orbit_rows: dict[str, tuple] = {}
-    rows = []
-    for x in _all_bits(m):
-        flipped = complement(x)
-        key = min(x, x[::-1], flipped, flipped[::-1])
-        if key not in orbit_rows:
-            d = ent.weight_distribution(n, x, budget=budget)
-            rs = [ent.renyi_entropy(d, a) for a in alphas]
-            orbit_rows[key] = (ent.shannon_entropy(d), rs, ent.min_entropy(d))
-        rows.append((x, *orbit_rows[key]))
+
+    def tail(d: ent.WeightDistribution) -> tuple:
+        h, rs = ent.shannon_entropy(d), [ent.renyi_entropy(d, a) for a in alphas]
+        if args.format == "json":
+            return h, dict(zip(orders, rs)), ent.min_entropy(d)
+        return tuple(_cell(v) for v in (h, *rs, ent.min_entropy(d)))  # formatted once per orbit
+
     if args.format == "json":
-        obj = {"m": m, "n": n, "alphas": list(alphas)}
-        obj["rows"] = [
-            {"x": x, "n": n, "H": h, "R": dict(zip(orders, rs)), "Hmin": hmin}
-            for x, h, rs, hmin in rows
-        ]
-        _emit(_json_text(obj), args.out)
-        return 0
-    meta = [("m", m), ("n", n), ("alphas", ",".join(orders))]
-    header = ["x", "n", "H"] + [f"R_{o}" for o in orders] + ["Hmin"]
-    table = [(x, n, h, *rs, hmin) for x, h, rs, hmin in rows]
-    _emit_table(args, meta, header, table)
+        meta, header = [("m", m), ("n", n), ("alphas", list(alphas))], ["x", "n", "H", "R", "Hmin"]
+    else:
+        meta = [("m", m), ("n", n), ("alphas", ",".join(orders))]
+        header = ["x", "n", "H"] + [f"R_{o}" for o in orders] + ["Hmin"]
+    _emit_table(args, meta, header, _orbit_rows(m, n, budget, tail))
     return 0
 
 

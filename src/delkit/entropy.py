@@ -23,14 +23,10 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb, isfinite, log2
+from typing import Iterator
 
 from .core import _Value, _run_lengths, hamming_weight, validate_bits
-from .space import (
-    _weight_histogram,
-    cluster_size_closed,
-    composition_slots,
-    upsilon_size,
-)
+from .space import _weight_histograms, cluster_size_closed, upsilon_size
 
 __all__ = [
     "WeightDistribution",
@@ -46,6 +42,7 @@ __all__ = [
     "renyi_entropy",
     "shannon_entropy",
     "weight_distribution",
+    "weight_distributions",
 ]
 
 
@@ -117,14 +114,20 @@ class WeightDistribution(_Value):
         return sum(w * k for w, k in self.counts.items())
 
 
+def weight_distributions(
+    n: int, xs, by_cluster: bool = False, budget: int | None = None
+) -> Iterator[WeightDistribution]:
+    """weight_distribution of each x in xs, sharing walked prefixes (most in sorted xs)."""
+    xs = list(xs)
+    for x, histogram in zip(xs, _weight_histograms(n, xs, by_cluster, budget)):
+        yield WeightDistribution(n, x, *histogram)
+
+
 def weight_distribution(
     n: int, x: str, by_cluster: bool = False, budget: int | None = None
 ) -> WeightDistribution:
-    """Histogram of embedding weights over all length-n supersequences of x.
-
-    space._weight_histogram checks the input and picks the route.
-    """
-    return WeightDistribution(n, x, *_weight_histogram(n, x, by_cluster, budget))
+    """Histogram of embedding weights over all length-n supersequences of x."""
+    return next(weight_distributions(n, [x], by_cluster, budget))
 
 
 def shannon_entropy(d: WeightDistribution) -> float:
@@ -223,7 +226,8 @@ def _double_insertion_cases(ks: tuple[int, ...]) -> tuple[Counter, Counter, Coun
             lengthen[(a + 1) ** 2] += comb(ca, 2)
         for b, cb in tally[i + 1 :]:
             lengthen[(a + 1) * (b + 1)] += ca * cb
-    t = sum(composition_slots(ks))
+    # the runs' insertion slots (space.composition_slots) summed in closed form
+    t = m + 1 if ell == 1 else m - ell + 2
     split: Counter[int] = Counter({1: t * (t + 1) // 2})
     mixed: Counter[int] = Counter()
     # structured strings (..., k_t, 1, 1, k_{t+1}, ...): consecutive patterns

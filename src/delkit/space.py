@@ -16,8 +16,10 @@ The weight histogram over the compatible set has two routes over one level
 walk, _prefix_level, which merges y prefixes that share their live prefix
 counts of x: _walk_histogram runs it to depth n, and _split_half_histogram
 stops it halfway on x and on reversed x and joins the two halves.
-_weight_histogram, the one entry to both, checks the input, lets
-_split_half_pays pick the route and sorts the result.
+_weight_histograms, the one entry to both, checks each x, lets
+_split_half_pays pick the route once per |x| and sorts the results.  The
+walk's level at depth L <= |x| depends only on x[:L], so each walk resumes
+from the level the walk before it kept at their common prefix.
 """
 from __future__ import annotations
 
@@ -143,11 +145,17 @@ def _prefix_level(n: int, x: str, depth: int, by_ones: bool) -> list[dict[int, i
     state, {band: number of prefixes}, one dict per popcount of u with by_ones.
     A band of 0 cannot complete and is dropped; at depth n the band is the weight.
     """
+    return _resume_level(n, x, depth, by_ones, [], 0)
+
+
+def _resume_level(n: int, x: str, depth: int, by_ones: bool, kept: list, keep: int) -> list:
+    """_prefix_level resumed from kept[-1], the level at depth len(kept) (the root if kept
+    is empty); on return kept[L - 1] is the level at depth L for L <= keep."""
     m = len(x)
     d, width = n - m, comb(n, m).bit_length()
     full, step = (1 << width) - 1, 1 if by_ones else 0
-    levels: list[dict[int, int]] = [{1 << d * width: 1}]
-    for i in range(depth):
+    levels = kept[-1] if kept else [{1 << d * width: 1}]
+    for i in range(len(kept), depth):
         # appending bit b adds w_{x[:j]} into w_{x[:j+1]} wherever x[j] == b,
         # and j + 1 lands in slot j - (i - d) once the band shifts down one
         masks = [0, 0]
@@ -164,6 +172,9 @@ def _prefix_level(n: int, x: str, depth: int, by_ones: bool) -> list[dict[int, i
                 if b := up + (band & one):
                     to_one[b] += k
         levels = grown
+        if i < keep:
+            kept.append(levels)
+    del kept[keep:]
     return levels
 
 
@@ -176,13 +187,14 @@ def _total(parts: list[Counter[int]]) -> Counter[int]:
 
 
 def _walk_histogram(
-    n: int, x: str, by_cluster: bool = False
+    n: int, x: str, by_cluster: bool = False, *, kept: list | None = None, keep: int = 0
 ) -> tuple[Counter[int], dict[int, Counter[int]] | None]:
     """Weight histogram (and cluster breakdown) from the prefix level at depth n.
 
-    Each level holds at most upsilon(n, |x|) states.
+    Each level holds at most upsilon(n, |x|) states; kept and keep are _resume_level's.
     """
-    parts = [Counter(states) for states in _prefix_level(n, x, n, by_cluster)]
+    levels = _resume_level(n, x, n, by_cluster, [] if kept is None else kept, keep)
+    parts = [Counter(states) for states in levels]
     if not by_cluster:
         return parts[0], None
     h = hamming_weight(x)
@@ -254,26 +266,40 @@ def _split_half_histogram(
     return _total(parts), {c: part for c, part in enumerate(parts) if part}
 
 
+def _weight_histograms(
+    n: int, xs, by_cluster: bool = False, budget: int | None = None
+) -> Iterator[tuple[dict[int, int], dict[int, dict[int, int]] | None]]:
+    """Either route's histogram and breakdown for each x, sorted by weight and by cluster.
+
+    Refuses a non-bit x, an n over the budget, n < 0 and |x| > n, in that
+    order, before any work on that x; the routes trust these checks.  Each walk
+    keeps the levels of its common prefix with the next x, longest in sorted xs.
+    """
+    xs, pays, kept = list(xs), cache(_split_half_pays), []
+    for x, after in zip(xs, xs[1:] + [""]):
+        validate_bits(x)
+        check_budget(n, budget)
+        m = len(x)
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
+        if m > n:
+            raise ValueError(f"need 0 <= |x| <= n, got |x|={m}, n={n}")
+        if pays(n, m):
+            counts, clusters = _split_half_histogram(n, x, by_cluster)
+        else:
+            same = isinstance(after, str) and len(after) == m
+            keep = next((j for j in range(m) if x[j] != after[j]), m) if same else 0
+            counts, clusters = _walk_histogram(n, x, by_cluster, kept=kept, keep=keep)
+        if clusters is not None:
+            clusters = {c: dict(sorted(clusters[c].items())) for c in sorted(clusters)}
+        yield dict(sorted(counts.items())), clusters
+
+
 def _weight_histogram(
     n: int, x: str, by_cluster: bool = False, budget: int | None = None
 ) -> tuple[dict[int, int], dict[int, dict[int, int]] | None]:
-    """Either route's histogram and breakdown, sorted by weight and by cluster.
-
-    Refuses a non-bit x, an n over the budget, n < 0 and |x| > n, in that
-    order, before _split_half_pays runs; the routes trust these checks.
-    """
-    validate_bits(x)
-    check_budget(n, budget)
-    m = len(x)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if m > n:
-        raise ValueError(f"need 0 <= |x| <= n, got |x|={m}, n={n}")
-    route = _split_half_histogram if _split_half_pays(n, m) else _walk_histogram
-    counts, clusters = route(n, x, by_cluster)
-    if clusters is not None:
-        clusters = {c: dict(sorted(clusters[c].items())) for c in sorted(clusters)}
-    return dict(sorted(counts.items())), clusters
+    """_weight_histograms of x alone."""
+    return next(_weight_histograms(n, [x], by_cluster, budget))
 
 
 def _check_cluster_shape(n: int, m: int, h: int) -> None:

@@ -173,7 +173,7 @@ def no_work(*args, **kwargs):
 ])
 @pytest.mark.parametrize("where", ["missing-dir/out.csv", ".", "file.txt/out.csv"])
 def test_out_path_is_refused_before_the_work(capsys, monkeypatch, tmp_path, argv, where):
-    monkeypatch.setattr(entropy, "weight_distribution", no_work)
+    monkeypatch.setattr(entropy, "weight_distributions", no_work)
     (tmp_path / "file.txt").write_text("kept\n")
     before = sorted(p.name for p in tmp_path.rglob("*"))
     path = tmp_path / where
@@ -365,14 +365,14 @@ def test_sweep_rows_match_entropies_computed_per_x(capsys):
 
 @pytest.mark.parametrize("m", range(11))
 def test_sweep_builds_one_histogram_per_orbit(capsys, monkeypatch, m):
-    real = entropy.weight_distribution
+    real = entropy.weight_distributions
     calls = []
 
-    def counted(n, x, **kwargs):
-        calls.append(x)
-        return real(n, x, **kwargs)
+    def counted(n, xs, **kwargs):
+        calls.extend(xs)
+        return real(n, xs, **kwargs)
 
-    monkeypatch.setattr(entropy, "weight_distribution", counted)
+    monkeypatch.setattr(entropy, "weight_distributions", counted)
     code, out, _ = run(capsys, "sweep", "--m", str(m), "--n", str(m + 1))
     assert code == 0 and len(out.splitlines()) == 4 + 2**m
     # Burnside over the four maps, for m >= 1: the identity fixes 2^m strings,
@@ -396,7 +396,7 @@ def test_sweep_builds_one_histogram_per_orbit(capsys, monkeypatch, m):
 )
 def test_sweep_refuses_a_bad_order_before_the_work(capsys, monkeypatch, orders, message):
     # n = 24 would take the split-half join before renyi_entropy saw the order
-    monkeypatch.setattr(entropy, "weight_distribution", no_work)
+    monkeypatch.setattr(entropy, "weight_distributions", no_work)
     code, out, err = run(capsys, "sweep", "--m", "12", "--n", "24", *orders)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"

@@ -27,6 +27,7 @@ from delkit.entropy import (
 from delkit.space import (
     _split_half_pays,
     _walk_histogram,
+    composition_slots,
     enumerate_supersequences,
     upsilon_size,
 )
@@ -302,6 +303,15 @@ def test_double_insertion_cases_golden():
     assert lengthen == {3: 1, 6: 2}
     assert mixed == {2: 3, 3: 3, 4: 1}
     assert split == {1: 6}
+
+
+def test_double_split_count_equals_the_summed_composition_slots():
+    # both insertions split runs: C(t + 1, 2) strings of weight 1 over the t
+    # slots, whose total the cases take in closed form
+    for m in range(1, 13):
+        for ks in compositions(m):
+            t = sum(composition_slots(ks))
+            assert _double_insertion_cases(ks)[2] == {1: t * (t + 1) // 2}, ks
 
 
 def test_predicted_double_golden():

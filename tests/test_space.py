@@ -1,4 +1,5 @@
-from collections import Counter
+import random
+from collections import Counter, defaultdict
 from functools import cache
 from math import comb
 
@@ -17,6 +18,7 @@ from delkit.space import (
     _split_half_histogram,
     _split_half_pays,
     _walk_histogram,
+    _weight_histograms,
     cluster_size_closed,
     cluster_size_recursive,
     cluster_size_simple,
@@ -262,6 +264,41 @@ def test_weight_histogram_refuses_before_either_route(
         with pytest.raises(ValueError) as refused:
             entry(n, x, by_cluster)
         assert str(refused.value) == message
+
+
+def test_weight_histograms_check_each_x_before_its_own_work():
+    # a bad x is refused when its turn comes, after the x before it is answered
+    histograms = _weight_histograms(5, ["01", None, "10"])
+    assert next(histograms) == space._weight_histogram(5, "01")
+    with pytest.raises(ValueError, match="^not a bit string: None$"):
+        next(histograms)
+
+
+def _enumerated(n, x, by_cluster):
+    counts, clusters = Counter(), defaultdict(Counter)
+    for y, w in enumerate_supersequences(n, x):
+        counts[w] += 1
+        clusters[y.count("1") - x.count("1")][w] += 1
+    return counts, clusters if by_cluster else None
+
+
+def test_shared_walk_equals_each_walk_alone_in_any_order():
+    # each walk resumes from the level the walk before it left at their common
+    # prefix, and the x after it may have another length; in any order every
+    # histogram must be x's own.  At n = 8, |x| = 4 joins halves instead.
+    rng = random.Random(2018)
+    for n in range(12):
+        xs = [x for m in range(max(0, n - 3), min(n, 8) + 1) for x in all_bits(m)]
+        xs += list(all_bits(4)) if n == 8 else []
+        assert (n == 8) == any(_split_half_pays(n, len(x)) for x in xs)
+        shuffled = rng.sample(xs, len(xs))
+        for by_cluster in (False, True):
+            want = {x: _enumerated(n, x, by_cluster) for x in xs}
+            for x in xs:
+                assert _walk_histogram(n, x, by_cluster) == want[x], (n, x)
+            for order in (sorted(xs), sorted(xs, reverse=True), shuffled):
+                got = list(_weight_histograms(n, order, by_cluster))
+                assert got == [want[x] for x in order], (n, by_cluster)
 
 
 def test_enumerate_supersequences_budget():
