@@ -163,17 +163,16 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         w = oracle.oracle_count(y, x, oracle.OracleBudget(max_n=budget))
     masks = enumerate_masks(y, x, budget) if args.masks else None
-    with _any_int_digits():
-        if args.format == "json":
-            obj: dict[str, object] = {"y": y, "x": x, "method": args.method, "omega": w}
-            if masks is not None:
-                obj["masks"] = [[i + 1 for i in pi] for pi in masks]
-            text = _json_text(obj)
-        else:
-            lines = [str(w)]
-            if masks is not None:
-                lines.extend(format_mask(pi) for pi in masks)
-            text = "\n".join(lines) + "\n"
+    if args.format == "json":
+        obj: dict[str, object] = {"y": y, "x": x, "method": args.method, "omega": w}
+        if masks is not None:
+            obj["masks"] = [[i + 1 for i in pi] for pi in masks]
+        text = _json_text(obj)
+    else:
+        lines = [str(w)]
+        if masks is not None:
+            lines.extend(format_mask(pi) for pi in masks)
+        text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
 
@@ -479,7 +478,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out is not None:
             _check_out(args.out)
-        return args.func(args)
+        with _any_int_digits():
+            return args.func(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

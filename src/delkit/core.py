@@ -153,12 +153,6 @@ class Rle(_Frozen):
     def block_count(self) -> int:
         return len(self.lengths)
 
-    def symbols(self) -> tuple[str, ...]:
-        """Symbol of each run, in order."""
-        first = self.leading
-        other = "1" if first == "0" else "0"
-        return tuple(first if i % 2 == 0 else other for i in range(len(self.lengths)))
-
 
 def format_mask(mask: Mask) -> str:
     """Render a 0-based index tuple 1-based, e.g. (0, 1, 3) -> ``{1, 2, 4}``."""

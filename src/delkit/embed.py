@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections import deque
 from math import comb
-from typing import Callable, Iterator
 
 from .core import Mask, _Frozen, _run_lengths, binomial, check_budget, validate_bits
 
@@ -155,33 +154,6 @@ class BlockMap(_Frozen):
         vars(self).update(images=images)
 
 
-def _walk_images(
-    lp: int, l: int, factor: Callable[[int, int, int], int]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Images of the maps counted by sigma_count(lp, l), lazily, in lex order.
-
-    Yields (images, weight), the weight being the product of
-    factor(i, f(i), f(i + 1)) over the steps i = 0, ..., lp - 1 (f(0) = 0).
-    A prefix whose step factor is 0 is dropped with all its extensions.
-    """
-    # depth first over image prefixes: (images, weight so far)
-    stack: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    while stack:
-        images, w = stack.pop()
-        i = len(images)
-        if i == lp:
-            yield images, w
-            continue
-        prev = images[-1] if images else 0
-        children = []
-        # leave room for the runs after this one
-        for v in range(prev + 1, l - (lp - i - 1) + 1, 2):
-            step = factor(i, prev, v)
-            if step:
-                children.append((images + (v,), w * step))
-        stack.extend(reversed(children))
-
-
 def _aligned_run_lengths(
     y: str, x: str
 ) -> tuple[tuple[int, ...], tuple[int, ...], list[int]] | None:
@@ -247,11 +219,23 @@ def block_map_weights(y: str, x: str) -> list[tuple[BlockMap, int]]:
     if aligned is None:
         return []
     ky, kx, q = aligned
-
-    def factor(i: int, u: int, v: int) -> int:
-        avail = q[v + 1] - q[u]
-        return comb(avail, kx[i]) - comb(avail - ky[v - 1], kx[i])
-
-    return [
-        (BlockMap(images), w) for images, w in _walk_images(len(kx), len(ky), factor)
-    ]
+    lp, l = len(kx), len(ky)
+    out = []
+    # depth first over image prefixes, in lex order: (images, weight so far)
+    stack: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    while stack:
+        images, w = stack.pop()
+        i = len(images)
+        if i == lp:
+            out.append((BlockMap(images), w))
+            continue
+        u = images[-1] if images else 0
+        children = []
+        # leave room for the runs after this one; a zero factor drops the
+        # prefix with all its extensions
+        for v in range(u + 1, l - (lp - i - 1) + 1, 2):
+            avail = q[v + 1] - q[u]
+            if step := comb(avail, kx[i]) - comb(avail - ky[v - 1], kx[i]):
+                children.append((images + (v,), w * step))
+        stack.extend(reversed(children))
+    return out

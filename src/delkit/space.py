@@ -14,8 +14,9 @@ governed by how many insertion slots each run of x offers.
 
 The weight histogram over the compatible set has two routes over one level
 walk, _prefix_level, which merges y prefixes that share their live prefix
-counts of x: _walk_histogram runs it to depth n, and _split_half_histogram
-stops it halfway on x and on reversed x and joins the two halves.
+counts of x and can resume from levels kept by an earlier call:
+_walk_histogram runs it to depth n, and _split_half_histogram runs it from
+the root to halfway on x and on reversed x and joins the two halves.
 _weight_histograms, the one entry to both, checks each x, lets
 _split_half_pays pick the route once per |x| and sorts the results.  The
 walk's level at depth L <= |x| depends only on x[:L], so each walk resumes
@@ -114,19 +115,19 @@ def _split_half_pays(n: int, m: int) -> bool:
     """Whether _split_half_histogram should replace the walk at (n, m).
 
     Compares closed forms of each route's Python-level steps: 2^L (R + 2) + 2^R
-    (L = n // 2, R = n - L) bounds the split-half route's, since its halves
-    hold at most 2^L and 2^R prefixes.  The walk is charged the smaller of two
-    bounds on its merged states: upsilon(n, m), and (n + 1)^2 prod_{j <= m}
-    (C(n, j) + 1), since on each of its n + 1 levels and in each of at most
-    n + 1 popcount groups a live slot j takes at most C(n, j) + 1 values.  The
-    second bound decides short x, where the first is off by orders of
-    magnitude; it is only evaluated once the first has chosen the join.  The
-    join's 64-bit slots are exact only while C(n, m) < 2^64.
+    (L = n // 2, R = n - L) bounds the split-half route's halves, which hold
+    at most 2^L and 2^R prefixes, and its tally adds 2^n / 11: one Counter
+    count per live (u, v), each about a tenth of a walk state's cost.
+    The walk is charged the smaller of two bounds on its merged states:
+    upsilon(n, m), and (n + 1)^2 prod_{j <= m} (C(n, j) + 1), since on each of
+    its n + 1 levels and in each of at most n + 1 popcount groups a live slot
+    j takes at most C(n, j) + 1 values.  The second bound decides short x,
+    where the first is off by orders of magnitude; it is only evaluated once
+    the first has chosen the join.  The join's 64-bit slots are exact only
+    while C(n, m) < 2^64.
     """
-    if not 0 <= m <= n:
-        return False
     left, right = n // 2, n - n // 2
-    steps = (1 << left) * (right + 2) + (1 << right)
+    steps = (1 << left) * (right + 2) + (1 << right) + (1 << n) // 11
     if comb(n, m) >= 1 << 64 or steps >= upsilon_size(n, m):
         return False
     states = (n + 1) ** 2
@@ -135,7 +136,7 @@ def _split_half_pays(n: int, m: int) -> bool:
     return steps < states
 
 
-def _prefix_level(n: int, x: str, depth: int, by_ones: bool) -> list[dict[int, int]]:
+def _prefix_level(n: int, x: str, depth: int, by_ones: bool, kept: list, keep: int) -> list:
     """Classes of the length-`depth` prefixes u of x's length-n supersequences.
 
     u reaches its completions only through its live band, w_{x[:j]}(u) for
@@ -144,13 +145,9 @@ def _prefix_level(n: int, x: str, depth: int, by_ones: bool) -> list[dict[int, i
     w_{x[:j]}(u) sits in slot j - (L - d).  Prefixes that share a band are one
     state, {band: number of prefixes}, one dict per popcount of u with by_ones.
     A band of 0 cannot complete and is dropped; at depth n the band is the weight.
+    The walk resumes from kept[-1], the level at depth len(kept) (the root if
+    kept is empty); on return kept[L - 1] is the level at depth L for L <= keep.
     """
-    return _resume_level(n, x, depth, by_ones, [], 0)
-
-
-def _resume_level(n: int, x: str, depth: int, by_ones: bool, kept: list, keep: int) -> list:
-    """_prefix_level resumed from kept[-1], the level at depth len(kept) (the root if kept
-    is empty); on return kept[L - 1] is the level at depth L for L <= keep."""
     m = len(x)
     d, width = n - m, comb(n, m).bit_length()
     full, step = (1 << width) - 1, 1 if by_ones else 0
@@ -191,9 +188,9 @@ def _walk_histogram(
 ) -> tuple[Counter[int], dict[int, Counter[int]] | None]:
     """Weight histogram (and cluster breakdown) from the prefix level at depth n.
 
-    Each level holds at most upsilon(n, |x|) states; kept and keep are _resume_level's.
+    Each level holds at most upsilon(n, |x|) states; kept and keep are _prefix_level's.
     """
-    levels = _resume_level(n, x, n, by_cluster, [] if kept is None else kept, keep)
+    levels = _prefix_level(n, x, n, by_cluster, [] if kept is None else kept, keep)
     parts = [Counter(states) for states in levels]
     if not by_cluster:
         return parts[0], None
@@ -227,7 +224,7 @@ def _split_half_histogram(
     # the band of every live v, grouped by popcount; sorting a group puts
     # equal weights of a row together, which tallies faster
     suffixes, blocks = [], [0]
-    for states in _prefix_level(n, x[::-1], right, by_cluster):
+    for states in _prefix_level(n, x[::-1], right, by_cluster, [], 0):
         for band in sorted(states):
             suffixes += [band] * states[band]
         blocks.append(len(suffixes))
@@ -242,7 +239,7 @@ def _split_half_histogram(
     h = hamming_weight(x)
     # one histogram per cluster, or a single one
     parts = [Counter() for _ in range(n - m + 1 if by_cluster else 1)]
-    for ones, states in enumerate(_prefix_level(n, x, left, by_cluster)):
+    for ones, states in enumerate(_prefix_level(n, x, left, by_cluster, [], 0)):
         spans = [(parts[0], 0, len(suffixes))]
         if by_cluster:
             # the popcounts of v that put uv in a cluster 0 <= c <= n - m
@@ -293,13 +290,6 @@ def _weight_histograms(
         if clusters is not None:
             clusters = {c: dict(sorted(clusters[c].items())) for c in sorted(clusters)}
         yield dict(sorted(counts.items())), clusters
-
-
-def _weight_histogram(
-    n: int, x: str, by_cluster: bool = False, budget: int | None = None
-) -> tuple[dict[int, int], dict[int, dict[int, int]] | None]:
-    """_weight_histograms of x alone."""
-    return next(_weight_histograms(n, [x], by_cluster, budget))
 
 
 def _check_cluster_shape(n: int, m: int, h: int) -> None:

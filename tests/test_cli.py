@@ -642,3 +642,22 @@ def test_count_prints_a_count_of_over_4300_digits(capsys, fmt, method):
     else:
         assert out == f'{{\n  "y": "{y}",\n  "x": "{x}",\n  "method": "{method}",\n  "omega": {want}\n}}\n'
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str cap")
+def test_distribution_prints_counts_past_the_int_digit_cap(capsys):
+    # every subcommand prints exact ints past the interpreter's cap: x = "" at
+    # n = 2200 has 2^2200 supersequences, 663 digits against a cap of 640
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(
+            capsys, "distribution", "--x", "", "--n", "2200", "--budget", "2200"
+        )
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(cap)
+    want = exact_digits(2**2200)
+    assert len(want) == 663
+    assert (code, err) == (0, "")
+    assert out == f"# x=\n# n=2200\n# mu={want}\n# upsilon={want}\nweight,count\n1,{want}\n"

@@ -65,8 +65,8 @@ def test_rle_golden():
     assert Rle.encode("0011010001") == Rle("0", (2, 2, 1, 1, 3, 1))
     assert Rle("1", (6, 1)).decode() == "1111110"
     assert Rle.encode("") == Rle("0", ())
-    assert Rle.encode("1").symbols() == ("1",)
-    assert Rle.encode("10").symbols() == ("1", "0")
+    assert Rle.encode("1") == Rle("1", (1,))
+    assert Rle.encode("10") == Rle("1", (1, 1))
 
 
 def test_rle_rejects_malformed():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from delkit.core import Rle, complement
 from delkit.embed import (
     BlockMap,
-    _walk_images,
     block_map_weights,
     count_embeddings_dp,
     count_embeddings_runs,
@@ -136,8 +135,11 @@ def test_sigma_matches_first_image_recurrence():
 
 
 def all_block_maps(lp, l):
-    """Images of every map sigma_count(lp, l) counts: the walk with unit factors."""
-    return [images for images, _ in _walk_images(lp, l, lambda i, u, v: 1)]
+    """Images of every map sigma_count(lp, l) counts: the maps of alternating
+    strings with l and lp unit runs, where every factor is 1."""
+    maps = block_map_weights(("01" * l)[:l], ("01" * lp)[:lp])
+    assert all(w == 1 for _, w in maps)
+    return [bm.images for bm, _ in maps]
 
 
 def test_block_maps_golden():

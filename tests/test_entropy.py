@@ -261,14 +261,14 @@ def test_run_readers_agree_with_rle_exhaustively():
         for x in all_bits(m):
             r = Rle.encode(x)
             ks = r.lengths
+            flip = "1" if r.leading == "0" else "0"
             if len(ks) == 1:
                 assert g_transform(x) == x
             else:
-                flip = "1" if r.leading == "0" else "0"
                 assert g_transform(x) == Rle(flip, (ks[0] + ks[1],) + ks[2:]).decode()
             rho: Counter[str] = Counter()
-            for sym, slots in zip(r.symbols(), space.composition_slots(ks)):
-                rho[sym] += slots
+            for i, slots in enumerate(space.composition_slots(ks)):
+                rho[r.leading if i % 2 == 0 else flip] += slots
             assert space.run_slots(x) == space.RunSlots(rho["0"], rho["1"])
             counts: Counter[int] = Counter({1: m - r.block_count + 2})
             for k in ks:

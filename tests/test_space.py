@@ -171,12 +171,12 @@ def test_prefix_level_holds_the_live_bands_of_every_prefix():
                         )
                         if band:
                             suffixes[ones, band] += 1
-                    assert _flat_level(_prefix_level(n, x, depth, True)) == prefixes
-                    assert _flat_level(_prefix_level(n, x[::-1], depth, True)) == suffixes
+                    assert _flat_level(_prefix_level(n, x, depth, True, [], 0)) == prefixes
+                    assert _flat_level(_prefix_level(n, x[::-1], depth, True, [], 0)) == suffixes
                     merged = Counter()
                     for (_, band), k in prefixes.items():
                         merged[band] += k
-                    assert _prefix_level(n, x, depth, False) == [merged]
+                    assert _prefix_level(n, x, depth, False, [], 0) == [merged]
 
 
 def _oracle_histograms_np(n, x):
@@ -205,7 +205,7 @@ def test_split_half_histogram_with_merged_and_dead_halves(n, x):
     m, left = len(x), n // 2
     assert (m + 1) << n <= 1 << 26  # inside the oracle's memory guard
     for depth, word in ((left, x), (n - left, x[::-1])):
-        level = _prefix_level(n, word, depth, True)
+        level = _prefix_level(n, word, depth, True, [], 0)
         assert sum(map(len, level)) < sum(sum(states.values()) for states in level)
     counts, clusters = _oracle_histograms_np(n, x)
     for route in (_split_half_histogram, _walk_histogram):
@@ -214,9 +214,8 @@ def test_split_half_histogram_with_merged_and_dead_halves(n, x):
 
 
 def test_split_half_route_rule():
-    assert _split_half_pays(19, 7)  # 7,168 steps against 480,492 supersequences
-    assert not _split_half_pays(13, 11)  # 704 steps against 92
-    assert not _split_half_pays(3, 4) and not _split_half_pays(-1, 0)
+    assert _split_half_pays(19, 7)  # 54,830 steps against 480,492 supersequences
+    assert not _split_half_pays(13, 11)  # 1,448 steps against 92
 
 
 def test_split_half_guard_keeps_slots_exact():
@@ -225,7 +224,7 @@ def test_split_half_guard_keeps_slots_exact():
     # the route refuses before building any table
     assert comb(67, 33) < 1 << 64 <= comb(68, 34)
     assert _split_half_pays(67, 33) and not _split_half_pays(68, 34)
-    assert comb(70, 35) >= 1 << 64 and (1 << 35) * 38 < upsilon_size(70, 35)
+    assert comb(70, 35) >= 1 << 64 and (1 << 35) * 38 + (1 << 70) // 11 < upsilon_size(70, 35)
     assert not _split_half_pays(70, 35)
     with pytest.raises(ValueError, match="64-bit slot"):
         _split_half_histogram(70, "01" * 17 + "0")
@@ -236,6 +235,18 @@ def test_split_half_rule_walks_short_x(n, m):
     # upsilon(n, m) overstates the walk's merged states by orders of magnitude
     # here; the bound (n + 1)^2 prod_{j <= m} (C(n, j) + 1) keeps it walking
     assert not _split_half_pays(n, m)
+
+
+@pytest.mark.parametrize(
+    "n, m, joins",
+    [(14, 10, False), (15, 11, False), (24, 16, False), (20, 1, False), (30, 2, False)]
+    + [(19, 7, True), (20, 7, True), (24, 11, True), (24, 12, True)],
+)
+def test_split_half_rule_counts_the_join_tally(n, m, joins):
+    # the join tallies up to 2^n live (u, v) pairs at about a tenth of a walk
+    # state's cost each; counted, they send the first five shapes to the walk,
+    # which answers them faster, and leave the last four on the faster join
+    assert _split_half_pays(n, m) == joins
 
 
 @pytest.mark.parametrize("by_cluster", [False, True])
@@ -260,7 +271,11 @@ def test_weight_histogram_refuses_before_either_route(
 
     monkeypatch.setattr(space, "_walk_histogram", no_route)
     monkeypatch.setattr(space, "_split_half_histogram", no_route)
-    for entry in (space._weight_histogram, weight_distribution):
+
+    def one(n, x, by_cluster):
+        return next(_weight_histograms(n, [x], by_cluster))
+
+    for entry in (one, weight_distribution):
         with pytest.raises(ValueError) as refused:
             entry(n, x, by_cluster)
         assert str(refused.value) == message
@@ -269,7 +284,7 @@ def test_weight_histogram_refuses_before_either_route(
 def test_weight_histograms_check_each_x_before_its_own_work():
     # a bad x is refused when its turn comes, after the x before it is answered
     histograms = _weight_histograms(5, ["01", None, "10"])
-    assert next(histograms) == space._weight_histogram(5, "01")
+    assert next(histograms) == next(_weight_histograms(5, ["01"]))
     with pytest.raises(ValueError, match="^not a bit string: None$"):
         next(histograms)
 
