@@ -6,12 +6,27 @@ singletons), and the entropy of the posterior a deletion channel induces over
 that space, with every closed form backed by an independent brute-force
 oracle.  All arithmetic is exact.
 """
-from . import core, embed, entropy, oracle, space
+from . import core, embed
 from .core import *
 from .embed import *
-from .entropy import *
-from .oracle import *
-from .space import *
 
-__all__ = core.__all__ + embed.__all__ + entropy.__all__ + oracle.__all__ + space.__all__
+_LAZY = ("space", "entropy", "oracle")  # loaded on first use, in this order
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import the _LAZY modules until one binds name, as a star-import would."""
+    if not name.startswith("__") or name == "__all__":
+        for lazy in _LAZY:
+            module = __import__(f"{__name__}.{lazy}", fromlist=["__all__"])
+            globals().update((k, getattr(module, k)) for k in module.__all__)
+            if name in globals():
+                return globals()[name]
+    if name == "__all__":
+        names = [k for m in _LAZY for k in globals()[m].__all__]
+        return globals().setdefault("__all__", core.__all__ + embed.__all__ + names)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -4,8 +4,8 @@ Subcommands: count (one embedding count), distribution (weight histogram),
 sweep (entropy table over all x of one length), gchain (run-merging chain
 with entropies), verify (self-check suites).  Output is CSV (with leading
 ``# key=value`` metadata lines) or JSON; both are deterministic byte-for-byte
-for a given invocation.  Exit codes: 0 success, 1 verification failure,
-2 usage/budget error.
+for a given invocation.  Exit codes: 0 success, 1 verification failure
+or stdout closed early, 2 usage/budget error.
 
 Enumeration budgets resolve as flag (--budget) over environment
 (DELKIT_BUDGET) over the built-in default of 24, and must be nonnegative.
@@ -16,16 +16,15 @@ import argparse
 import csv
 import errno
 import io
-import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from itertools import chain, product
-from typing import Iterable, Iterator
 
 from . import entropy as ent
-from . import oracle, space
+from . import space
 from .core import DEFAULT_BUDGET, BudgetError, check_budget, complement, format_mask, validate_bits
 from .embed import count_embeddings_dp, count_embeddings_runs, enumerate_masks
 
@@ -59,6 +58,7 @@ def _cell(v: object) -> str:
 
 
 def _json_text(obj: object) -> str:
+    import json
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -95,6 +95,7 @@ def _check_out(out: str) -> None:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed reader shows here, not in the flush at exit
     else:
         try:
             f = open(out, "w", encoding="utf-8")
@@ -161,7 +162,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     elif args.method == "runs":
         w = count_embeddings_runs(y, x)
     else:
-        w = oracle.oracle_count(y, x, oracle.OracleBudget(max_n=budget))
+        from .oracle import OracleBudget, oracle_count
+        w = oracle_count(y, x, OracleBudget(max_n=budget))
     masks = enumerate_masks(y, x, budget) if args.masks else None
     if args.format == "json":
         obj: dict[str, object] = {"y": y, "x": x, "method": args.method, "omega": w}
@@ -266,12 +268,13 @@ Row = tuple[str, str, str, bool]
 
 
 def _suite_clusters(max_m: int) -> list[Row]:
+    from .oracle import oracle_space
     rows: list[Row] = []
     for m in range(0, max_m + 1):
         for n in range(m, min(m + 3, 12) + 1):
             for h in range(0, m + 1):
                 x = "1" * h + "0" * (m - h)
-                tally = Counter(y.count("1") - h for y in oracle.oracle_space(n, x).weights)
+                tally = Counter(y.count("1") - h for y in oracle_space(n, x).weights)
                 for c in range(0, n - m + 1):
                     closed = space.cluster_size_closed(n, m, h, c)
                     simple = space.cluster_size_simple(n, m, h, c)
@@ -305,12 +308,13 @@ def _suite_initials(max_m: int) -> list[Row]:
 
 
 def _suite_singletons(max_m: int) -> list[Row]:
+    from .oracle import oracle_space
     rows: list[Row] = []
     for m in range(1, max_m + 1):
         for n in range(m, min(m + 3, 11) + 1):
             for x in _all_bits(m):
                 h = x.count("1")
-                singles = oracle.oracle_space(n, x).singletons()
+                singles = oracle_space(n, x).singletons()
                 tally = Counter(y.count("1") - h for y in singles)
                 closed = space.singleton_count(n, x)
                 ok = len(singles) == closed and all(
@@ -322,13 +326,14 @@ def _suite_singletons(max_m: int) -> list[Row]:
 
 
 def _lemma_rows(max_m: int, extra: int) -> list[Row]:
+    from .oracle import oracle_weight_table
     predict = ent.predicted_weights_single if extra == 1 else ent.predicted_weights_double
     rows: list[Row] = []
     for m in range(1, max_m + 1):
         n = m + extra
         for x in _all_bits(m):
             predicted = predict(x).counts
-            table = oracle.oracle_weight_table(n, x)
+            table = oracle_weight_table(n, x)
             observed = Counter(table[table > 0].tolist())
             rows.append(
                 (
@@ -483,6 +488,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout closed early: keep the flush at exit quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

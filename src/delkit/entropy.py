@@ -22,8 +22,8 @@ chain down to the constant string.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from math import comb, isfinite, log2
-from typing import Iterator
 
 from .core import _Value, _run_lengths, hamming_weight, validate_bits
 from .space import _weight_histograms, cluster_size_closed, upsilon_size

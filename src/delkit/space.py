@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import struct
 from collections import Counter, defaultdict
+from collections.abc import Iterator
 from functools import cache
 from math import comb
-from typing import Iterator
 
 from .core import (
     Mask,

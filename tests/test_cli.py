@@ -580,6 +580,68 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
     assert proc.returncode == 0 and proc.stdout == "[]\n" * 4
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_start_up_loads_only_what_the_entry_point_uses():
+    # -S: no site hook preloads typing; space, entropy and oracle load on
+    # first use, and oracle, json and numpy only in the subcommands calling them
+    code = (
+        "import contextlib, io, sys\n"
+        "def package():\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'delkit'))\n"
+        "import delkit\n"
+        "package()\n"
+        "print(hasattr(delkit, '__wrapped__'))\n"
+        "package()\n"
+        "from delkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['sweep', '--m', '3', '--n', '5'])\n"
+        "    main(['distribution', '--x', '0110101', '--n', '12', '--by-cluster'])\n"
+        "    main(['gchain', '--x', '0110', '--deletions', '2'])\n"
+        "    main(['count', '--y', '0110', '--x', '01', '--method', 'dp'])\n"
+        "print([m for m in ('delkit.oracle', 'json', 'typing', 'numpy') if m in sys.modules])\n"
+        "print(delkit.weight_distribution is delkit.entropy.weight_distribution)\n"
+        "try:\n"
+        "    delkit.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['delkit', 'delkit.core', 'delkit.embed']",
+        "False",
+        "['delkit', 'delkit.core', 'delkit.embed']",
+        "[]",
+        "True",
+        "module 'delkit' has no attribute 'no_such_name'",
+    ]
+
+
+def test_star_import_and_dir_cover_every_exported_name():
+    import delkit
+
+    names = {}
+    exec("from delkit import *", names)
+    assert set(delkit.__all__) <= set(names) and set(delkit.__all__) <= set(dir(delkit))
+    assert all(names[k] is getattr(delkit, k) for k in delkit.__all__)
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--m", "11", "--n", "13"], ["count", "--y", "0110", "--x", "01"]]
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    # sweep's output overflows the pipe in _emit; count's fits and fails in the flush
+    with subprocess.Popen(
+        [sys.executable, "-m", "delkit.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 1 and "Traceback" not in err and "Exception ignored" not in err, err
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
