@@ -131,12 +131,17 @@ def weight_distribution(
 
 
 def shannon_entropy(d: WeightDistribution) -> float:
-    """Shannon entropy (bits) of the posterior, summed in ascending weight."""
+    """Shannon entropy (bits) of the posterior, summed in ascending weight.
+
+    Below mu = 2^1000 every count and every w / mu is a normal float; past it
+    a count may not fit a float, so each class's mass is one exact ratio.
+    """
     denom = mu(d.n, d.m)
-    lg_denom = log2(denom)
+    lg_denom, huge = log2(denom), denom >> 1000
     h = 0.0
     for w in sorted(d.counts):
-        h -= d.counts[w] * (w / denom) * (log2(w) - lg_denom)
+        k = d.counts[w]
+        h -= (k * w / denom if huge else k * (w / denom)) * (log2(w) - lg_denom)
     return h
 
 
@@ -150,15 +155,18 @@ def renyi_entropy(d: WeightDistribution, alpha: float) -> float:
         raise ValueError("alpha = 1 is the Shannon case; use shannon_entropy")
     denom = mu(d.n, d.m)
     s = 0.0
-    for w in sorted(d.counts):
-        s += d.counts[w] * (w / denom) ** alpha
+    if not denom >> 1000:  # past mu = 2^1000 a count may not fit a float
+        for w in sorted(d.counts):
+            s += d.counts[w] * (w / denom) ** alpha
     if s == 0.0:
-        # every term underflowed (large alpha): factor out the largest weight,
-        # whose term is then 1, and add its share back in the log domain;
-        # alpha / (1 - alpha) keeps alpha * log2(...) from overflowing
+        # every term underflowed (large alpha) or was skipped (huge mu): factor
+        # out the largest weight, then add up the terms' log2 relative to the
+        # largest term; alpha / (1 - alpha) keeps alpha * log2(...) from overflowing
         top = max(d.counts)
-        s = sum(d.counts[w] * (w / top) ** alpha for w in sorted(d.counts))
-        return alpha / (1 - alpha) * (log2(top) - log2(denom)) + log2(s) / (1 - alpha)
+        logs = [log2(d.counts[w]) + alpha * log2(w / top) for w in sorted(d.counts)]
+        peak = max(logs)
+        s = sum(2 ** (t - peak) for t in logs)
+        return alpha / (1 - alpha) * (log2(top) - log2(denom)) + (peak + log2(s)) / (1 - alpha)
     # a point mass gives log2(1.0) / (1 - alpha), which is -0.0 for alpha > 1;
     # adding 0.0 turns it into 0.0 and leaves every other value unchanged
     return log2(s) / (1 - alpha) + 0.0

@@ -12,13 +12,14 @@ the last position of y.  A singleton is a member that embeds x exactly once;
 singletons are produced by run-splitting insertions only, so their count is
 governed by how many insertion slots each run of x offers.
 
-The weight histogram over the compatible set has two routes over one level
-walk, _prefix_level, which merges y prefixes that share their live prefix
-counts of x and can resume from levels kept by an earlier call:
-_walk_histogram runs it to depth n, and _split_half_histogram runs it from
-the root to halfway on x and on reversed x and joins the two halves.
-_weight_histograms, the one entry to both, checks each x, lets
-_split_half_pays pick the route once per |x| and sorts the results.  The
+The weight histogram over the compatible set is read from the level at
+depth n of one walk, _prefix_level, which merges y prefixes that share their
+live prefix counts of x and can resume from levels kept by an earlier call.
+Two routes produce that level: the walk itself, run to depth n, and
+_split_half_level, which runs it from the root to halfway on x and on
+reversed x and joins the two halves.  _weight_histograms, the one entry to
+both, checks each x, lets _split_half_pays pick the route once per |x|, and
+alone turns the level into the sorted histogram and its clusters.  The
 walk's level at depth L <= |x| depends only on x[:L], so each walk resumes
 from the level the walk before it kept at their common prefix.
 """
@@ -112,7 +113,7 @@ def enumerate_supersequences(
 
 
 def _split_half_pays(n: int, m: int) -> bool:
-    """Whether _split_half_histogram should replace the walk at (n, m).
+    """Whether _split_half_level should replace the walk at (n, m).
 
     Compares closed forms of each route's Python-level steps: 2^L (R + 2) + 2^R
     (L = n // 2, R = n - L) bounds the split-half route's halves, which hold
@@ -175,33 +176,8 @@ def _prefix_level(n: int, x: str, depth: int, by_ones: bool, kept: list, keep: i
     return levels
 
 
-def _total(parts: list[Counter[int]]) -> Counter[int]:
-    """The clusters' histograms added up in one Counter."""
-    total: Counter[int] = Counter()
-    for part in parts:
-        total.update(part)
-    return total
-
-
-def _walk_histogram(
-    n: int, x: str, by_cluster: bool = False, *, kept: list | None = None, keep: int = 0
-) -> tuple[Counter[int], dict[int, Counter[int]] | None]:
-    """Weight histogram (and cluster breakdown) from the prefix level at depth n.
-
-    Each level holds at most upsilon(n, |x|) states; kept and keep are _prefix_level's.
-    """
-    levels = _prefix_level(n, x, n, by_cluster, [] if kept is None else kept, keep)
-    parts = [Counter(states) for states in levels]
-    if not by_cluster:
-        return parts[0], None
-    h = hamming_weight(x)
-    return _total(parts), {i - h: part for i, part in enumerate(parts) if part}
-
-
-def _split_half_histogram(
-    n: int, x: str, by_cluster: bool = False
-) -> tuple[Counter[int], dict[int, Counter[int]] | None]:
-    """Weight histogram (and cluster breakdown) of x's length-n supersequences.
+def _split_half_level(n: int, x: str, by_ones: bool) -> list:
+    """_prefix_level(n, x, n, by_ones, [], 0), joined from two half levels.
 
     Every embedding of x in y = uv splits at exactly one j, so
     w_x(uv) = sum_j w_{x[:j]}(u) w_{x[j:]}(v) over max(0, m - R) <= j <= min(m, L)
@@ -212,8 +188,8 @@ def _split_half_histogram(
     popcount, are packed per j into one integer with a 64-bit slot per v, so
     the weights of every uv for one class of u are a few big-integer
     multiply-adds; every partial sum is at most C(n, m), which must fit a
-    slot.  Zero weights (non-members) are dropped; cluster c of uv is
-    h(u) + h(v) - h(x), one popcount block of v per cluster.
+    slot.  uv is tallied under popcount h(u) + h(v), one popcount block of v
+    at a time, and zero weights (non-members) are dropped.
     """
     m = len(x)
     width = comb(n, m).bit_length()
@@ -224,7 +200,7 @@ def _split_half_histogram(
     # the band of every live v, grouped by popcount; sorting a group puts
     # equal weights of a row together, which tallies faster
     suffixes, blocks = [], [0]
-    for states in _prefix_level(n, x[::-1], right, by_cluster, [], 0):
+    for states in _prefix_level(n, x[::-1], right, by_ones, [], 0):
         for band in sorted(states):
             suffixes += [band] * states[band]
         blocks.append(len(suffixes))
@@ -235,16 +211,11 @@ def _split_half_histogram(
     for j in range(lo, hi + 1):
         column = slots.pack(*[v >> (left - j) * width & full for v in suffixes])
         packed.append(int.from_bytes(column, "little"))
-    nbytes = slots.size
-    h = hamming_weight(x)
-    # one histogram per cluster, or a single one
-    parts = [Counter() for _ in range(n - m + 1 if by_cluster else 1)]
-    for ones, states in enumerate(_prefix_level(n, x, left, by_cluster, [], 0)):
-        spans = [(parts[0], 0, len(suffixes))]
-        if by_cluster:
-            # the popcounts of v that put uv in a cluster 0 <= c <= n - m
-            hvs = range(max(0, h - ones), min(right, h - ones + n - m) + 1)
-            spans = [(parts[ones + hv - h], blocks[hv], blocks[hv + 1]) for hv in hvs]
+    nbytes, bounds = slots.size, list(zip(blocks, blocks[1:]))
+    # one tally per popcount of uv, or a single one
+    parts = [Counter() for _ in range(n + 1 if by_ones else 1)]
+    for ones, states in enumerate(_prefix_level(n, x, left, by_ones, [], 0)):
+        spans = [(parts[ones + hv], start, stop) for hv, (start, stop) in enumerate(bounds)]
         for band, k in states.items():
             row = 0
             band >>= (lo - m + right) * width
@@ -258,19 +229,19 @@ def _split_half_histogram(
                     part.update(weights[start:stop])
     for part in parts:
         del part[0]  # the strings that do not contain x
-    if not by_cluster:
-        return parts[0], None
-    return _total(parts), {c: part for c, part in enumerate(parts) if part}
+    return parts
 
 
 def _weight_histograms(
     n: int, xs, by_cluster: bool = False, budget: int | None = None
 ) -> Iterator[tuple[dict[int, int], dict[int, dict[int, int]] | None]]:
-    """Either route's histogram and breakdown for each x, sorted by weight and by cluster.
+    """Histogram and cluster breakdown for each x, sorted by weight and by cluster.
 
     Refuses a non-bit x, an n over the budget, n < 0 and |x| > n, in that
-    order, before any work on that x; the routes trust these checks.  Each walk
-    keeps the levels of its common prefix with the next x, longest in sorted xs.
+    order, before any work on that x; the routes trust these checks.  Either
+    route yields the level at depth n, one {weight: count} per popcount of y
+    with by_cluster; cluster c is popcount c + h(x).  Each walk keeps the
+    levels of its common prefix with the next x, longest in sorted xs.
     """
     xs, pays, kept = list(xs), cache(_split_half_pays), []
     for x, after in zip(xs, xs[1:] + [""]):
@@ -282,13 +253,17 @@ def _weight_histograms(
         if m > n:
             raise ValueError(f"need 0 <= |x| <= n, got |x|={m}, n={n}")
         if pays(n, m):
-            counts, clusters = _split_half_histogram(n, x, by_cluster)
+            level = _split_half_level(n, x, by_cluster)
         else:
             same = isinstance(after, str) and len(after) == m
             keep = next((j for j in range(m) if x[j] != after[j]), m) if same else 0
-            counts, clusters = _walk_histogram(n, x, by_cluster, kept=kept, keep=keep)
-        if clusters is not None:
-            clusters = {c: dict(sorted(clusters[c].items())) for c in sorted(clusters)}
+            level = _prefix_level(n, x, n, by_cluster, kept, keep)
+        counts: Counter[int] = Counter()
+        for part in level:
+            counts.update(part)
+        clusters, h = None, hamming_weight(x)
+        if by_cluster:
+            clusters = {i - h: dict(sorted(part.items())) for i, part in enumerate(level) if part}
         yield dict(sorted(counts.items())), clusters
 
 

@@ -332,6 +332,21 @@ def test_sweep_large_alpha_is_finite(capsys, alpha):
         assert math.isfinite(r) and hmin - 1e-12 <= r <= hmin + 0.01
 
 
+def test_sweep_past_the_float_range_prints_finite_json(capsys):
+    # mu = 1030 * 2^1029 and C(1030, 515) are past 2^1024, the float range
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    argv = "sweep --m 1 --n 1030 --budget 1030 --alpha 0.5 2 3 --format json"
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    rows = json.loads(out, parse_constant=refuse)["rows"]
+    assert [row["x"] for row in rows] == ["0", "1"]
+    for row in rows:
+        values = [row["H"], *row["R"].values(), row["Hmin"]]
+        assert all(math.isfinite(v) and 1029 <= v <= 1030 for v in values), row
+
+
 def test_sweep_rows_match_entropies_computed_per_x(capsys):
     # sweep copies one row per reversal/complement orbit; every row must
     # still equal the entropies of that x's own histogram

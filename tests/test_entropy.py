@@ -1,4 +1,5 @@
-from collections import Counter, defaultdict
+from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, log2
 
@@ -25,8 +26,8 @@ from delkit.entropy import (
     weight_distribution,
 )
 from delkit.space import (
+    _prefix_level,
     _split_half_pays,
-    _walk_histogram,
     composition_slots,
     enumerate_supersequences,
     upsilon_size,
@@ -65,16 +66,19 @@ def test_weight_distribution_by_cluster_golden():
 
 
 def test_weight_distribution_takes_the_route_the_rule_picks(monkeypatch):
-    def wrong_route(*args):
-        raise AssertionError("took the other route")
+    joins, join = [], space._split_half_level
+
+    def spy(*args):
+        joins.append(args)
+        return join(*args)
 
     # (19, 7) joins half tables, (13, 11) walks its 92 supersequences
-    monkeypatch.setattr(space, "_walk_histogram", wrong_route)
+    monkeypatch.setattr(space, "_split_half_level", spy)
     d = weight_distribution(19, "0110101", by_cluster=True)
     assert d.total_strings == upsilon_size(19, 7) == 480_492
-    monkeypatch.undo()
-    monkeypatch.setattr(space, "_split_half_histogram", wrong_route)
+    assert joins == [(19, "0110101", True)]
     assert weight_distribution(13, "01101010110", by_cluster=True).total_strings == 92
+    assert len(joins) == 1
 
 
 def test_weight_distribution_rejects_bad_histograms():
@@ -168,6 +172,23 @@ def test_renyi_entropy_at_large_alpha_stays_between_min_and_r2():
     assert abs(renyi_entropy(weight_distribution(3, ""), 1e308) - 3.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1026, 1029, 1100])
+def test_entropies_stay_exact_past_the_float_range(n):
+    # x = 0: the C(n, w) strings with w zeros weigh w each.  mu = n 2^(n-1)
+    # is past 2^1024 and C(n, n / 2) is too at n = 1100, so neither every
+    # count nor every w / mu is a float; 50-digit decimals are the reference
+    d = WeightDistribution(n, "0", {w: comb(n, w) for w in range(1, n + 1)})
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln2, mass = Decimal(2).ln(), [(Decimal(w) / mu(n, 1), k) for w, k in d.counts.items()]
+        want = float(-sum(k * p * p.ln() for p, k in mass) / ln2)
+        assert abs(shannon_entropy(d) - want) <= 1e-12 * want
+        for alpha in (0.5, 2, 3, 2000):
+            a = Decimal(alpha)
+            want = float(sum(k * p**a for p, k in mass).ln() / ln2 / (1 - a))
+            assert abs(renyi_entropy(d, alpha) - want) <= 1e-12 * want, alpha
+
+
 def test_histogram_is_invariant_under_reversal_and_complement():
     # sweep computes one row per orbit of x under these maps, so this is the
     # theorem its reuse rests on; every n = m + 4 from (5, 1) to (11, 7) takes
@@ -193,35 +214,31 @@ def test_walk_equals_the_supersequence_enumeration():
     for m in range(10):
         for n in range(m, m + 4):
             for x in all_bits(m):
-                counts, clusters = Counter(), defaultdict(Counter)
+                level = [Counter() for _ in range(n + 1)]
                 for y, w in enumerate_supersequences(n, x):
-                    counts[w] += 1
-                    clusters[y.count("1") - x.count("1")][w] += 1
-                assert _walk_histogram(n, x) == (counts, None)
-                assert _walk_histogram(n, x, by_cluster=True) == (counts, clusters)
+                    level[y.count("1")][w] += 1
+                assert _prefix_level(n, x, n, False, [], 0) == [sum(level, Counter())]
+                assert _prefix_level(n, x, n, True, [], 0) == level
 
 
 def test_walk_equals_the_closed_forms():
     for m in range(1, 12):
         for x in all_bits(m):
-            assert _walk_histogram(m + 1, x)[0] == predicted_weights_single(x).counts
-            assert _walk_histogram(m + 2, x)[0] == predicted_weights_double(x).counts
+            for n, want in ((m + 1, predicted_weights_single), (m + 2, predicted_weights_double)):
+                assert _prefix_level(n, x, n, False, [], 0) == [want(x).counts]
 
 
 @pytest.mark.parametrize("symbol", "01")
 def test_walk_slots_hold_the_largest_weight(symbol):
     # y with r copies of x = symbol^m has weight C(r, m); the C(n, r) of them
-    # sit in cluster n - r for 0^m and r - m for 1^m.  The top weight C(n, m)
+    # have popcount n - r for 0^m and r for 1^m.  The top weight C(n, m)
     # fills its slot, up to C(24, 12) at the default budget.
     for n in range(25):
         for m in range(n + 1):
-            clusters = defaultdict(Counter)
+            level = [Counter() for _ in range(n + 1)]
             for r in range(m, n + 1):
-                c = n - r if symbol == "0" else r - m
-                clusters[c][comb(r, m)] += comb(n, r)
-            counts = sum(clusters.values(), Counter())
-            got = _walk_histogram(n, symbol * m, by_cluster=True)
-            assert got == (counts, clusters), (n, m)
+                level[n - r if symbol == "0" else r][comb(r, m)] += comb(n, r)
+            assert _prefix_level(n, symbol * m, n, True, [], 0) == level, (n, m)
 
 
 @given(bits)

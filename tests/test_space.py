@@ -15,9 +15,8 @@ from delkit.oracle import oracle_space, oracle_weight_table
 from delkit.space import (
     RunSlots,
     _prefix_level,
-    _split_half_histogram,
+    _split_half_level,
     _split_half_pays,
-    _walk_histogram,
     _weight_histograms,
     cluster_size_closed,
     cluster_size_recursive,
@@ -91,17 +90,26 @@ def _oracle_histograms(n, x, ones):
     return sum(clusters.values(), Counter()), clusters
 
 
+def _as_level(n, x, counts, clusters, by_ones):
+    """The level at depth n that holds these histograms: cluster c at popcount c + h(x)."""
+    if not by_ones:
+        return [counts]
+    h = x.count("1")
+    return [clusters.get(ones - h, {}) for ones in range(n + 1)]
+
+
 def test_split_half_histogram_equals_walk_and_oracle_exhaustive():
-    # every x with |x| <= 6 at every n <= 14, in both modes: against the walk
-    # over supersequences and against the oracle's position scan
+    # every x with |x| <= 6 at every n <= 14, in both modes: the join builds
+    # the walk's level at depth n, and that level holds the oracle's position scan
     for n in range(15):
         ones = [bin(i).count("1") for i in range(1 << n)]
         for m in range(min(n, 6) + 1):
             for x in all_bits(m):
                 counts, clusters = _oracle_histograms(n, x, ones)
-                assert _walk_histogram(n, x, by_cluster=True) == (counts, clusters)
-                assert _split_half_histogram(n, x, by_cluster=True) == (counts, clusters)
-                assert _split_half_histogram(n, x) == (counts, None)
+                for by_ones in (False, True):
+                    level = _prefix_level(n, x, n, by_ones, [], 0)
+                    assert _split_half_level(n, x, by_ones) == level, (n, x, by_ones)
+                    assert level == _as_level(n, x, counts, clusters, by_ones), (n, x, by_ones)
 
 
 @pytest.mark.parametrize(
@@ -139,8 +147,8 @@ def test_split_half_histogram_equals_walk_and_oracle_exhaustive():
 )
 def test_split_half_histogram_edges(n, x, counts, clusters):
     # frozen from the walk
-    assert _split_half_histogram(n, x) == (counts, None)
-    assert _split_half_histogram(n, x, by_cluster=True) == (counts, clusters)
+    for by_ones in (False, True):
+        assert _split_half_level(n, x, by_ones) == _as_level(n, x, counts, clusters, by_ones)
 
 
 def _flat_level(level):
@@ -208,9 +216,10 @@ def test_split_half_histogram_with_merged_and_dead_halves(n, x):
         level = _prefix_level(n, word, depth, True, [], 0)
         assert sum(map(len, level)) < sum(sum(states.values()) for states in level)
     counts, clusters = _oracle_histograms_np(n, x)
-    for route in (_split_half_histogram, _walk_histogram):
-        assert route(n, x) == (counts, None)
-        assert route(n, x, by_cluster=True) == (counts, clusters)
+    for by_ones in (False, True):
+        level = _as_level(n, x, counts, clusters, by_ones)
+        assert _split_half_level(n, x, by_ones) == level
+        assert _prefix_level(n, x, n, by_ones, [], 0) == level
 
 
 def test_split_half_route_rule():
@@ -227,7 +236,7 @@ def test_split_half_guard_keeps_slots_exact():
     assert comb(70, 35) >= 1 << 64 and (1 << 35) * 38 + (1 << 70) // 11 < upsilon_size(70, 35)
     assert not _split_half_pays(70, 35)
     with pytest.raises(ValueError, match="64-bit slot"):
-        _split_half_histogram(70, "01" * 17 + "0")
+        _split_half_level(70, "01" * 17 + "0", False)
 
 
 @pytest.mark.parametrize("n, m", [(24, 0), (44, 1), (100, 0), (60, 2)])
@@ -269,8 +278,8 @@ def test_weight_histogram_refuses_before_either_route(
     def no_route(*args):
         raise AssertionError("a route ran on input the entry must refuse")
 
-    monkeypatch.setattr(space, "_walk_histogram", no_route)
-    monkeypatch.setattr(space, "_split_half_histogram", no_route)
+    monkeypatch.setattr(space, "_prefix_level", no_route)
+    monkeypatch.setattr(space, "_split_half_level", no_route)
 
     def one(n, x, by_cluster):
         return next(_weight_histograms(n, [x], by_cluster))
@@ -310,7 +319,8 @@ def test_shared_walk_equals_each_walk_alone_in_any_order():
         for by_cluster in (False, True):
             want = {x: _enumerated(n, x, by_cluster) for x in xs}
             for x in xs:
-                assert _walk_histogram(n, x, by_cluster) == want[x], (n, x)
+                level = _as_level(n, x, *want[x], by_cluster)
+                assert _prefix_level(n, x, n, by_cluster, [], 0) == level, (n, x)
             for order in (sorted(xs), sorted(xs, reverse=True), shuffled):
                 got = list(_weight_histograms(n, order, by_cluster))
                 assert got == [want[x] for x in order], (n, by_cluster)
