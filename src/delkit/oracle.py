@@ -6,11 +6,12 @@ and whole spaces come from scanning every string in {0,1}^n.  None of the
 closed forms or the iterative counting code from the other modules is used,
 so agreement between the two sides is meaningful evidence.
 
+Its users are the tests, the benchmark and `delkit count --method oracle`.
 oracle_weight_table is the same full-space scan vectorized with numpy (all
 2^n strings advance one position per pass); it exists because grids of
 thousands of full scans are outside pure-Python time budgets, and it is
 cross-checked against the scalar scan in the test suite.  It is the only
-user of numpy, which it imports on first call.
+user of numpy (a test extra), which it imports on first call.
 """
 from __future__ import annotations
 

@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -14,6 +15,8 @@ import pytest
 from delkit import entropy
 from delkit.cli import SUITES, main
 from delkit.embed import count_embeddings_dp
+from delkit.oracle import oracle_space, oracle_weight_table
+from delkit.space import is_maximal_initial
 
 from helpers import all_bits
 
@@ -542,6 +545,55 @@ def test_verify_suite_passes_at_its_default_max_m(capsys, suite):
     assert meta["failures"] == "0" and rows
 
 
+CASE_LENGTHS = re.compile(r"n=(\d+) (?:m=(\d+)|x=([01]+))")
+
+
+@pytest.mark.parametrize(
+    "suite, max_m, low", [("clusters", 10, 0), ("initials", 9, 1), ("singletons", 9, 1)]
+)
+def test_verify_checks_every_length_up_to_max_m(capsys, suite, max_m, low):
+    # each m <= --max-m is checked at every n from m to m + 3, however large
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-m", str(max_m))
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert meta["failures"] == "0"
+    lengths = set()
+    for row in rows:
+        n, m, x = CASE_LENGTHS.match(row[1]).groups()
+        lengths.add((len(x) if m is None else int(m), int(n)))
+    assert lengths == {(m, n) for m in range(low, max_m + 1) for n in range(m, m + 4)}
+
+
+def _brute_force_column(suite, case):
+    """One row's enumerated value, rebuilt by scanning every string of length n."""
+    f = dict(kv.split("=") for kv in case.split())
+    if suite == "clusters":
+        n, m, h, c = (int(f[k]) for k in "nmhc")
+        ys = oracle_space(n, "1" * h + "0" * (m - h)).weights
+        return str(sum(1 for y in ys if y.count("1") - h == c))
+    x = f["x"]
+    if suite == "initials":
+        return str(sum(1 for y in all_bits(int(f["n"])) if is_maximal_initial(y, x)))
+    if suite == "singletons":
+        return str(len(oracle_space(int(f["n"]), x).singletons()))
+    table = oracle_weight_table(len(x) + (1 if suite == "lemma1" else 2), x)
+    observed = collections.Counter(table[table > 0].tolist())
+    return " ".join(f"{w}:{observed[w]}" for w in sorted(observed)) or "-"
+
+
+# the column of each brute-force suite's rows that comes from enumeration
+ENUMERATED = {"clusters": 3, "initials": 2, "singletons": 3, "lemma1": 3, "lemma4": 3}
+
+
+@pytest.mark.parametrize("suite", list(ENUMERATED))
+def test_verify_enumeration_equals_the_oracle_at_the_default_max_m(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    col = ENUMERATED[suite]
+    assert [r[col] for r in rows] == [_brute_force_column(suite, r[1]) for r in rows]
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--y", "11000"])
@@ -600,7 +652,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_start_up_loads_only_what_the_entry_point_uses():
     # -S: no site hook preloads typing; space, entropy and oracle load on
-    # first use, and oracle, json and numpy only in the subcommands calling them
+    # first use, oracle only in count --method oracle, json only with
+    # --format json, and numpy in no subcommand (verify enumerates with space)
     code = (
         "import contextlib, io, sys\n"
         "def package():\n"
@@ -615,6 +668,9 @@ def test_start_up_loads_only_what_the_entry_point_uses():
         "    main(['distribution', '--x', '0110101', '--n', '12', '--by-cluster'])\n"
         "    main(['gchain', '--x', '0110', '--deletions', '2'])\n"
         "    main(['count', '--y', '0110', '--x', '01', '--method', 'dp'])\n"
+        "    main(['verify', '--suite', 'clusters', '--max-m', '3'])\n"
+        "    main(['verify', '--suite', 'singletons', '--max-m', '3'])\n"
+        "    main(['verify', '--suite', 'lemma1', '--max-m', '3'])\n"
         "print([m for m in ('delkit.oracle', 'json', 'typing', 'numpy') if m in sys.modules])\n"
         "print(delkit.weight_distribution is delkit.entropy.weight_distribution)\n"
         "try:\n"
