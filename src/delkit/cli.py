@@ -191,10 +191,10 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     ]
     if d.by_cluster is not None:
         header = ["cluster", "weight", "count"]
-        rows = [(c, w, k) for c, part in d.by_cluster.items() for w, k in part.items()]
+        rows = ((c, w, k) for c, part in d.by_cluster.items() for w, k in part.items())
     else:
         header = ["weight", "count"]
-        rows = list(d.counts.items())
+        rows = d.counts.items()
     _emit_table(args, meta, header, rows)
     return 0
 
@@ -267,13 +267,13 @@ def cmd_gchain(args: argparse.Namespace) -> int:
 Row = tuple[str, str, str, bool]
 
 
-def _suite_clusters(max_m: int) -> list[Row]:
+def _suite_clusters(max_m: int, budget: int) -> list[Row]:
     rows: list[Row] = []
     for m in range(0, max_m + 1):
         for n in range(m, m + 4):
             for h in range(0, m + 1):
                 x = "1" * h + "0" * (m - h)
-                members = space.enumerate_supersequences(n, x)
+                members = space.enumerate_supersequences(n, x, budget)
                 tally = Counter(y.count("1") - h for y, _ in members)
                 for c in range(0, n - m + 1):
                     closed = space.cluster_size_closed(n, m, h, c)
@@ -287,13 +287,13 @@ def _suite_clusters(max_m: int) -> list[Row]:
     return rows
 
 
-def _suite_initials(max_m: int) -> list[Row]:
+def _suite_initials(max_m: int, budget: int) -> list[Row]:
     rows: list[Row] = []
     for m in range(1, max_m + 1):
         for n in range(m, m + 4):
             for x in _all_bits(m):
                 h = x.count("1")
-                members = space.enumerate_supersequences(n, x)
+                members = space.enumerate_supersequences(n, x, budget)
                 tally = Counter(
                     y.count("1") - h for y, _ in members if space.is_maximal_initial(y, x)
                 )
@@ -308,13 +308,13 @@ def _suite_initials(max_m: int) -> list[Row]:
     return rows
 
 
-def _suite_singletons(max_m: int) -> list[Row]:
+def _suite_singletons(max_m: int, budget: int) -> list[Row]:
     rows: list[Row] = []
     for m in range(1, max_m + 1):
         for n in range(m, m + 4):
             for x in _all_bits(m):
                 h = x.count("1")
-                singles = [y for y, w in space.enumerate_supersequences(n, x) if w == 1]
+                singles = [y for y, w in space.enumerate_supersequences(n, x, budget) if w == 1]
                 tally = Counter(y.count("1") - h for y in singles)
                 closed = space.singleton_count(n, x)
                 ok = len(singles) == closed and all(
@@ -325,14 +325,14 @@ def _suite_singletons(max_m: int) -> list[Row]:
     return rows
 
 
-def _lemma_rows(max_m: int, extra: int) -> list[Row]:
+def _lemma_rows(max_m: int, extra: int, budget: int) -> list[Row]:
     predict = ent.predicted_weights_single if extra == 1 else ent.predicted_weights_double
     rows: list[Row] = []
     for m in range(1, max_m + 1):
         n = m + extra
         for x in _all_bits(m):
             predicted = predict(x).counts
-            observed = Counter(w for _, w in space.enumerate_supersequences(n, x))
+            observed = Counter(w for _, w in space.enumerate_supersequences(n, x, budget))
             rows.append(
                 (
                     f"x={x}",
@@ -377,27 +377,30 @@ def _suite_entropy_min(max_m: int) -> list[Row]:
     return rows
 
 
-# suite name -> (rows for a --max-m, default --max-m), in --help order
+# suite name -> (rows for a --max-m and budget, default --max-m, n - m at its
+# longest enumeration or None), in --help order; only clusters enumerates at m = 0
 SUITES = {
-    "clusters": (_suite_clusters, 6),
-    "initials": (_suite_initials, 5),
-    "singletons": (_suite_singletons, 5),
-    "lemma1": (lambda max_m: _lemma_rows(max_m, 1), 8),
-    "lemma4": (lambda max_m: _lemma_rows(max_m, 2), 8),
-    "identityB": (lambda max_m: _suite_identity(max_m, "B"), 10),
-    "identityC": (lambda max_m: _suite_identity(max_m, "C"), 10),
-    "entropy-min": (_suite_entropy_min, 8),
+    "clusters": (_suite_clusters, 6, 3),
+    "initials": (_suite_initials, 5, 3),
+    "singletons": (_suite_singletons, 5, 3),
+    "lemma1": (lambda max_m, budget: _lemma_rows(max_m, 1, budget), 8, 1),
+    "lemma4": (lambda max_m, budget: _lemma_rows(max_m, 2, budget), 8, 2),
+    "identityB": (lambda max_m, _: _suite_identity(max_m, "B"), 10, None),
+    "identityC": (lambda max_m, _: _suite_identity(max_m, "C"), 10, None),
+    "entropy-min": (lambda max_m, _: _suite_entropy_min(max_m), 8, None),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     budget, _ = _resolve_budget(args)
-    suite_rows, default_max_m = SUITES[args.suite]
+    suite_rows, default_max_m, extra = SUITES[args.suite]
     max_m = default_max_m if args.max_m is None else args.max_m
     if max_m < 0:
         raise ValueError(f"--max-m must be nonnegative, got {max_m}")
     check_budget(max_m, budget, "--max-m")
-    rows = suite_rows(max_m)
+    if extra is not None and (max_m or args.suite == "clusters"):
+        check_budget(max_m + extra, budget)
+    rows = suite_rows(max_m, budget)
     failures = sum(1 for r in rows if not r[3])
     meta: list[tuple[str, object]] = [
         ("suite", args.suite),

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from math import comb, isfinite, log2
+from operator import mul
 
 from .core import _Value, _run_lengths, hamming_weight, validate_bits
 from .space import _weight_histograms, cluster_size_closed, upsilon_size
@@ -84,21 +85,19 @@ class WeightDistribution(_Value):
             raise ValueError("weighted count does not match the mask mass")
         if self.by_cluster is not None:
             h = hamming_weight(self.x)
-            agg: Counter[int] = Counter()
+            agg: dict[int, int] = {}  # every count is positive, so dict equality is exact
             for c, part in self.by_cluster.items():
                 if c < 0 or c > self.n - m:
                     raise ValueError(f"cluster index {c} out of range")
                 for w, k in part.items():
                     if w < 1 or k < 1:
                         raise ValueError(f"bad histogram entry {w}: {k} in cluster {c}")
-                    agg[w] += k
+                    agg[w] = agg.get(w, 0) + k
                 if sum(part.values()) != cluster_size_closed(self.n, m, h, c):
                     raise ValueError(f"cluster {c} string count does not match its size")
-                if sum(w * k for w, k in part.items()) != comb(self.n, m) * comb(
-                    self.n - m, c
-                ):
+                if sum(map(mul, part, part.values())) != comb(self.n, m) * comb(self.n - m, c):
                     raise ValueError(f"cluster {c} mask mass is wrong")
-            if agg != Counter(self.counts):
+            if agg != self.counts:
                 raise ValueError("cluster breakdown does not aggregate to the histogram")
 
     @property
@@ -111,7 +110,7 @@ class WeightDistribution(_Value):
 
     @property
     def total_masks(self) -> int:
-        return sum(w * k for w, k in self.counts.items())
+        return sum(map(mul, self.counts, self.counts.values()))
 
 
 def weight_distributions(

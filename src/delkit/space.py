@@ -26,6 +26,7 @@ from the level the walk before it kept at their common prefix.
 from __future__ import annotations
 
 import struct
+import sys
 from collections import Counter, defaultdict
 from collections.abc import Iterator
 from functools import cache
@@ -118,14 +119,14 @@ def _split_half_pays(n: int, m: int) -> bool:
     Compares closed forms of each route's Python-level steps: 2^L (R + 2) + 2^R
     (L = n // 2, R = n - L) bounds the split-half route's halves, which hold
     at most 2^L and 2^R prefixes, and its tally adds 2^n / 11: one Counter
-    count per live (u, v), each about a tenth of a walk state's cost.
+    count per live (u, v), about a tenth of a walk state's cost in 64-bit slots
+    (less in narrower ones, where the charge is conservative until re-fitted).
     The walk is charged the smaller of two bounds on its merged states:
     upsilon(n, m), and (n + 1)^2 prod_{j <= m} (C(n, j) + 1), since on each of
     its n + 1 levels and in each of at most n + 1 popcount groups a live slot
-    j takes at most C(n, j) + 1 values.  The second bound decides short x,
-    where the first is off by orders of magnitude; it is only evaluated once
-    the first has chosen the join.  The join's 64-bit slots are exact only
-    while C(n, m) < 2^64.
+    j takes at most C(n, j) + 1 values.  The second bound, evaluated only once
+    the first has chosen the join, decides short x, where the first is off by
+    orders of magnitude.  The join is exact only while C(n, m) < 2^64.
     """
     left, right = n // 2, n - n // 2
     steps = (1 << left) * (right + 2) + (1 << right) + (1 << n) // 11
@@ -185,10 +186,11 @@ def _split_half_level(n: int, x: str, by_ones: bool) -> list:
     x's at depth L, where w_{x[:j]}(u) sits in slot j - (m - R), and reversed
     x's at depth R, where w_{x[j:]}(v) sits in slot L - j; halves that cannot
     complete are dropped.  The suffix counts of every live v, grouped by
-    popcount, are packed per j into one integer with a 64-bit slot per v, so
-    the weights of every uv for one class of u are a few big-integer
-    multiply-adds; every partial sum is at most C(n, m), which must fit a
-    slot.  uv is tallied under popcount h(u) + h(v), one popcount block of v
+    popcount, are packed per j into one integer with a slot per v of the
+    narrowest of 8, 16, 32 or 64 bits that holds C(n, m), which bounds every
+    partial sum, so the weights of every uv for one class of u are a few
+    big-integer multiply-adds, exact while C(n, m) < 2^64.  Each row is read
+    in place and tallied under popcount h(u) + h(v), one popcount block of v
     at a time, and zero weights (non-members) are dropped.
     """
     m = len(x)
@@ -204,18 +206,18 @@ def _split_half_level(n: int, x: str, by_ones: bool) -> list:
         for band in sorted(states):
             suffixes += [band] * states[band]
         blocks.append(len(suffixes))
-    # w_{x[j:]}(v) for one j in one little-endian 64-bit slot per v, whatever
-    # the host's byte order
-    slots = struct.Struct(f"<{len(suffixes)}Q")
+    # w_{x[j:]}(v) for one j, a slot per v, in the host's order as memoryview reads it
+    code = next(c for c in "BHIQ" if struct.calcsize(c) * 8 >= width)
+    slots = struct.Struct(f"{len(suffixes)}{code}")
     packed = []
     for j in range(lo, hi + 1):
         column = slots.pack(*[v >> (left - j) * width & full for v in suffixes])
-        packed.append(int.from_bytes(column, "little"))
+        packed.append(int.from_bytes(column, sys.byteorder))
     nbytes, bounds = slots.size, list(zip(blocks, blocks[1:]))
     # one tally per popcount of uv, or a single one
     parts = [Counter() for _ in range(n + 1 if by_ones else 1)]
     for ones, states in enumerate(_prefix_level(n, x, left, by_ones, [], 0)):
-        spans = [(parts[ones + hv], start, stop) for hv, (start, stop) in enumerate(bounds)]
+        spans = [(parts[ones + hv].update, start, stop) for hv, (start, stop) in enumerate(bounds)]
         for band, k in states.items():
             row = 0
             band >>= (lo - m + right) * width
@@ -223,10 +225,10 @@ def _split_half_level(n: int, x: str, by_ones: bool) -> list:
                 if at := band & full:
                     row += at * b
                 band >>= width
-            weights = slots.unpack(row.to_bytes(nbytes, "little"))
+            weights = memoryview(row.to_bytes(nbytes, sys.byteorder)).cast(code)
             for _ in range(k):  # k prefixes share this row
-                for part, start, stop in spans:
-                    part.update(weights[start:stop])
+                for update, start, stop in spans:
+                    update(weights[start:stop])
     for part in parts:
         del part[0]  # the strings that do not contain x
     return parts
@@ -258,13 +260,14 @@ def _weight_histograms(
             same = isinstance(after, str) and len(after) == m
             keep = next((j for j in range(m) if x[j] != after[j]), m) if same else 0
             level = _prefix_level(n, x, n, by_cluster, kept, keep)
-        counts: Counter[int] = Counter()
+        counts: dict[int, int] = {}
         for part in level:
-            counts.update(part)
+            for w, k in part.items():
+                counts[w] = counts.get(w, 0) + k
         clusters, h = None, hamming_weight(x)
         if by_cluster:
-            clusters = {i - h: dict(sorted(part.items())) for i, part in enumerate(level) if part}
-        yield dict(sorted(counts.items())), clusters
+            clusters = {i - h: {w: p[w] for w in sorted(p)} for i, p in enumerate(level) if p}
+        yield {w: counts[w] for w in sorted(counts)}, clusters
 
 
 def _check_cluster_shape(n: int, m: int, h: int) -> None:

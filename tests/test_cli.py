@@ -8,11 +8,12 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from delkit import entropy
+from delkit import core, entropy
 from delkit.cli import SUITES, main
 from delkit.embed import count_embeddings_dp
 from delkit.oracle import oracle_space, oracle_weight_table
@@ -472,6 +473,30 @@ def test_verify_max_m_follows_the_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--suite", "clusters")
     assert code == 2 and out == ""
     assert err == "error: --max-m=6 exceeds enumeration budget 4\n"
+
+
+def test_verify_refuses_an_over_budget_length_before_any_work(capsys):
+    # clusters --max-m 22 would check every m <= 21 before reaching n = 25
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", "clusters", "--max-m", "22")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: n=25 exceeds enumeration budget 24\n")
+    # a suite that enumerates nothing is not refused
+    code, out, _ = run(capsys, "verify", "--suite", "initials", "--max-m", "0", "--budget", "0")
+    assert code == 0 and parse_csv(out)[0]["checks"] == "0"
+
+
+@pytest.mark.parametrize("suite", [s for s, (_, _, extra) in SUITES.items() if extra is not None])
+def test_verify_enumerates_under_the_budget_it_checks(capsys, monkeypatch, suite):
+    # the longest n is refused up front, and the budget reaches the enumerator,
+    # which would otherwise refuse every n > 0 at the default patched to 0
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 0)
+    top = 3 + SUITES[suite][2]
+    argv = ("verify", "--suite", suite, "--max-m", "3", "--budget")
+    code, out, err = run(capsys, *argv, str(top - 1))
+    assert (code, out, err) == (2, "", f"error: n={top} exceeds enumeration budget {top - 1}\n")
+    code, out, _ = run(capsys, *argv, str(top))
+    assert code == 0 and parse_csv(out)[0]["failures"] == "0"
 
 
 def test_gchain_golden(capsys):

@@ -222,6 +222,19 @@ def test_split_half_histogram_with_merged_and_dead_halves(n, x):
         assert _prefix_level(n, x, n, by_ones, [], 0) == level
 
 
+@pytest.mark.parametrize(
+    "x, slot_bits",
+    [("0110101", 16), ("0000000", 16), ("011010110", 32), ("000000000", 32)],
+)
+def test_split_half_level_equals_the_walk_in_wide_slots(x, slot_bits):
+    # C(19, 7) = 50,388 fills a 16-bit slot and C(19, 9) = 92,378 needs a
+    # 32-bit one; the exhaustive test above reaches only 8- and 16-bit slots.
+    # A constant x reaches the bound: y = 0^19 embeds 0^m C(19, m) times
+    assert slot_bits // 2 < comb(19, len(x)).bit_length() <= slot_bits
+    for by_ones in (False, True):
+        assert _split_half_level(19, x, by_ones) == _prefix_level(19, x, 19, by_ones, [], 0)
+
+
 def test_split_half_route_rule():
     assert _split_half_pays(19, 7)  # 54,830 steps against 480,492 supersequences
     assert not _split_half_pays(13, 11)  # 1,448 steps against 92
