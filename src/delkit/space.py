@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import struct
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterator
 from functools import cache
 from math import comb
@@ -119,8 +119,10 @@ def _split_half_pays(n: int, m: int) -> bool:
     Compares closed forms of each route's Python-level steps: 2^L (R + 2) + 2^R
     (L = n // 2, R = n - L) bounds the split-half route's halves, which hold
     at most 2^L and 2^R prefixes, and its tally adds 2^n / 11: one Counter
-    count per live (u, v), about a tenth of a walk state's cost in 64-bit slots
-    (less in narrower ones, where the charge is conservative until re-fitted).
+    count per live (u, v), fitted at about a tenth of a walk state's cost in
+    64-bit slots.  The walk's states have since got cheaper: at (19, 7), in
+    16-bit slots, a joined pair costs about a sixth of a walk state, halves
+    included, so the charge now understates the join until it is re-fitted.
     The walk is charged the smaller of two bounds on its merged states:
     upsilon(n, m), and (n + 1)^2 prod_{j <= m} (C(n, j) + 1), since on each of
     its n + 1 levels and in each of at most n + 1 popcount groups a live slot
@@ -157,19 +159,22 @@ def _prefix_level(n: int, x: str, depth: int, by_ones: bool, kept: list, keep: i
     for i in range(len(kept), depth):
         # appending bit b adds w_{x[:j]} into w_{x[:j+1]} wherever x[j] == b,
         # and j + 1 lands in slot j - (i - d) once the band shifts down one
-        masks = [0, 0]
+        zero = one = 0
         for j in range(max(0, i - d), min(i + 1, m)):
-            masks[x[j] == "1"] |= full << (j - i + d) * width
-        zero, one = masks
-        grown = [defaultdict(int) for _ in range(len(levels) + step)]
+            if x[j] == "1":
+                one |= full << (j - i + d) * width
+            else:
+                zero |= full << (j - i + d) * width
+        grown = [{} for _ in range(len(levels) + step)]
         for ones, states in enumerate(levels):
             to_zero, to_one = grown[ones], grown[ones + step]
+            get_zero, get_one = to_zero.get, to_one.get
             for band, k in states.items():
                 up = band >> width
                 if b := up + (band & zero):
-                    to_zero[b] += k
+                    to_zero[b] = get_zero(b, 0) + k
                 if b := up + (band & one):
-                    to_one[b] += k
+                    to_one[b] = get_one(b, 0) + k
         levels = grown
         if i < keep:
             kept.append(levels)

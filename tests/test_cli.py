@@ -1,5 +1,6 @@
 import collections
 import csv
+import hashlib
 import io
 import json
 import math
@@ -239,6 +240,15 @@ def test_sweep_basic(capsys):
     # complement symmetry within the table
     assert values["110"] == pytest.approx(values["001"], abs=1e-12)
     assert min(values, key=values.get) in ("000", "111")
+
+
+def test_sweep_prints_the_benchmark_table_byte_for_byte(capsys):
+    # the benchmark's sweep shape, pinned by digest: 528 orbit walks that
+    # resume at shared prefixes, and every row's floats as printed
+    code, out, _ = run(capsys, "sweep", "--m", "11", "--n", "13", "--alpha", "0.5", "2")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "0356ddc5574d022c17125ae0988adaf62490f7a3ca7ded0cea2dcefd2676ddcf"
 
 
 def test_sweep_floats_round_trip(capsys):

@@ -339,6 +339,28 @@ def test_shared_walk_equals_each_walk_alone_in_any_order():
                 assert got == [want[x] for x in order], (n, by_cluster)
 
 
+@pytest.mark.parametrize(
+    "n, x, L",
+    [(13, "01101001110", L) for L in (0, 1, 6, 11)]
+    + [(10, "0110", 0), (10, "0110", 2), (10, "0110", 4), (9, "", 0), (12, "111000", 3)],
+)
+def test_prefix_level_continues_from_the_kept_level(n, x, L):
+    # equality alone cannot tell a resumed walk from one that restarted at the
+    # root; scaling the kept level by 3 can: every count at depth n triples.
+    # With L = 0 nothing is kept and the walk starts at the root
+    for by_ones in (False, True):
+        fresh = _prefix_level(n, x, n, by_ones, [], 0)
+        kept = []
+        _prefix_level(n, x, L, by_ones, kept, L)
+        assert len(kept) == L
+        if kept:
+            kept[-1] = [{band: 3 * k for band, k in states.items()} for states in kept[-1]]
+        factor = 3 if L else 1
+        level = _prefix_level(n, x, n, by_ones, kept, 0)
+        assert level == [{w: factor * k for w, k in part.items()} for part in fresh]
+        assert kept == []
+
+
 def test_enumerate_supersequences_budget():
     with pytest.raises(BudgetError):
         list(enumerate_supersequences(25, "1"))
