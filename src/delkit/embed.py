@@ -22,13 +22,20 @@ at least one symbol landing in run f(i) itself.
 
 Each factor depends only on the pair (f(i-1), f(i)), so the sum over maps is
 a chain sum over map images: after i runs of x, chain[v] holds the summed
-weight of the maps of those runs with f(i) = v.  Only images that leave room
-for the remaining runs, i <= v <= l - (lp - i), are kept, which makes the
-route O(lp * band^2) exact integer steps with lp runs of x, l aligned runs of
-y and band = (l - lp) / 2 + 1, instead of one step per map.  The maps
-themselves are enumerated only where they are the output, in
-block_map_weights, by a depth-first walk over image prefixes that drops a
-prefix as soon as one of its factors is 0 (the maps of nonzero weight).
+weight of the maps of those runs with f(i) = v.  Step i tries only the
+same-parity images between left_i and right_i, the runs of y holding the last
+symbol of run i in x's greedy leftmost and rightmost embeddings; no other
+image can complete (the bounds are skipped where l - lp <= 1, with lp runs of
+x and l aligned runs of y, leaving one image per run at most).  Run i's factor
+for (u, v) is C(s(v) - s(u-1), k'_i) - C(s(v-2) - s(u-1), k'_i), with
+s(v) = ky_v + ky_(v-2) + ..., so the step stores T(v) - T(v-2), T(v) being
+chain[u] times the first binomial summed over u < v: one binomial per (u, v),
+as C(0, k) = 0.  That is O(lp * band^2) exact integer steps, band being the
+most images between two bounds and at most (l - lp) / 2 + 1, instead of one
+step per map.  The maps themselves are enumerated only where they are the
+output, in block_map_weights, by a depth-first walk over image prefixes
+inside the same bounds that drops a prefix as soon as one of its factors is 0
+(the maps of nonzero weight).
 """
 from __future__ import annotations
 
@@ -171,10 +178,32 @@ def _aligned_run_lengths(
         ky = ky[1:]
         if not ky:
             return None
-    q = [0] * (len(ky) + 2)
-    for v in range(1, len(ky) + 1):
-        q[v + 1] = q[v - 1] + ky[v - 1]
+    q = [0, 0]
+    for k in ky:
+        q.append(q[-2] + k)
     return ky, _run_lengths(x), q
+
+
+def _image_bounds(kx: tuple[int, ...], q: list[int], l: int) -> tuple[list[int], list[int]] | None:
+    """left[i] (right[i]): the run of y holding the last symbol of run i + 1 of
+    x in x's greedy leftmost (rightmost) embedding, so the least (greatest)
+    f(i + 1) over the maps of nonzero weight.  None when x does not embed.
+    """
+    left, v = [], 0
+    for need in kx:
+        u, v = v, v + 1
+        while v <= l and q[v + 1] - q[u] < need:
+            v += 2
+        if v > l:
+            return None
+        left.append(v)
+    right, u = [], l - (l - len(kx)) % 2
+    for need in reversed(kx):
+        right.append(v := u)
+        u -= 1
+        while q[v + 1] - q[u] < need:  # stops by the previous run's leftmost image, or 0
+            u -= 2
+    return left, right[::-1]
 
 
 def count_embeddings_runs(y: str, x: str) -> int:
@@ -188,21 +217,27 @@ def count_embeddings_runs(y: str, x: str) -> int:
         return 0
     ky, kx, q = aligned
     lp, l = len(kx), len(ky)
+    # with l - lp <= 1 each run has one image at most: nothing to bound
+    bounds = _image_bounds(kx, q, l) if l - lp > 1 else (range(1, lp + 1), range(l - lp + 1, l + 1))
+    if bounds is None:
+        return 0
     chain = {0: 1}
-    for i, need in enumerate(kx, start=1):
+    for need, lo, hi in zip(kx, *bounds):
         nxt = {}
-        for v in range(i, l - (lp - i) + 1, 2):
-            top, last = q[v + 1], ky[v - 1]
-            total = 0
+        below = 0  # T(v - 2), which is 0 at v = lo
+        for v in range(lo, hi + 1, 2):
+            top = q[v + 1]
+            t = 0
             for u, w in chain.items():
                 if u >= v:
                     break
                 avail = top - q[u]
                 if avail < need:  # and less still for every larger u
                     break
-                total += w * (comb(avail, need) - comb(avail - last, need))
-            if total:
-                nxt[v] = total
+                t += w * comb(avail, need)
+            if t != below:
+                nxt[v] = t - below if below else t
+                below = t
         if not nxt:
             return 0
         chain = nxt
@@ -219,7 +254,11 @@ def block_map_weights(y: str, x: str) -> list[tuple[BlockMap, int]]:
     if aligned is None:
         return []
     ky, kx, q = aligned
-    lp, l = len(kx), len(ky)
+    bounds = _image_bounds(kx, q, len(ky))
+    if bounds is None:
+        return []
+    left, right = bounds
+    lp = len(kx)
     out = []
     # depth first over image prefixes, in lex order: (images, weight so far)
     stack: list[tuple[tuple[int, ...], int]] = [((), 1)]
@@ -231,9 +270,9 @@ def block_map_weights(y: str, x: str) -> list[tuple[BlockMap, int]]:
             continue
         u = images[-1] if images else 0
         children = []
-        # leave room for the runs after this one; a zero factor drops the
-        # prefix with all its extensions
-        for v in range(u + 1, l - (lp - i - 1) + 1, 2):
+        # only images that can complete; a zero factor drops the prefix with
+        # all its extensions
+        for v in range(max(u + 1, left[i]), right[i] + 1, 2):
             avail = q[v + 1] - q[u]
             if step := comb(avail, kx[i]) - comb(avail - ky[v - 1], kx[i]):
                 children.append((images + (v,), w * step))

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from delkit.core import Rle, complement
 from delkit.embed import (
     BlockMap,
+    _aligned_run_lengths,
+    _image_bounds,
     block_map_weights,
     count_embeddings_dp,
     count_embeddings_runs,
@@ -259,6 +261,47 @@ def test_runs_is_polynomial_on_alternating_strings(reps):
     # sigma_count(reps, 2 * reps) block maps: 193,536,720 at reps = 22; the
     # chain sum visits O(reps^3) image pairs instead
     y, x = "01" * reps, "01" * (reps // 2)
+    assert count_embeddings_runs(y, x) == count_embeddings_dp(y, x)
+
+
+def image_bounds(y, x):
+    aligned = _aligned_run_lengths(y, x)
+    return aligned and _image_bounds(aligned[1], aligned[2], len(aligned[0]))
+
+
+def test_image_bounds_are_the_extreme_images_of_the_maps():
+    # the greedy bounds exist exactly when x embeds, and then each is the
+    # least or greatest image of its run over the maps of nonzero weight,
+    # which together hold every embedding
+    xs = [x for m in range(0, 7) for x in all_bits(m)]
+    for n in range(0, 11):
+        for y in all_bits(n):
+            for x in xs:
+                bounds, count = image_bounds(y, x), count_embeddings_dp(y, x)
+                assert (bounds is None) == (count == 0), (y, x)
+                if count:
+                    maps = block_map_weights(y, x)
+                    assert sum(w for _, w in maps) == count, (y, x)
+                    images = list(zip(*(bm.images for bm, _ in maps)))
+                    assert bounds[0] == [min(f) for f in images], (y, x)
+                    assert bounds[1] == [max(f) for f in images], (y, x)
+
+
+@st.composite
+def dense_pairs(draw):
+    """The pairs-dense benchmark's shape: y uniform with 24 <= |y| <= 40, x
+    made by deleting a quarter or a half of its positions."""
+    n = draw(st.integers(min_value=24, max_value=40))
+    y = draw(st.text(alphabet="01", min_size=n, max_size=n))
+    k = round(n * draw(st.sampled_from([0.25, 0.5])))
+    gone = draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))
+    return y, "".join(c for i, c in enumerate(y) if i not in gone)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_pairs())
+def test_runs_equals_dp_on_dense_pairs(pair):
+    y, x = pair
     assert count_embeddings_runs(y, x) == count_embeddings_dp(y, x)
 
 
