@@ -25,7 +25,9 @@ from itertools import chain, product
 
 from . import entropy as ent
 from . import space
-from .core import DEFAULT_BUDGET, BudgetError, check_budget, complement, format_mask, validate_bits
+from .core import (
+    DEFAULT_BUDGET, BudgetError, Rle, check_budget, complement, format_mask, validate_bits
+)
 from .embed import count_embeddings_dp, count_embeddings_runs, enumerate_masks
 
 ENV_BUDGET = "DELKIT_BUDGET"
@@ -160,6 +162,14 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.method == "dp":
         w = count_embeddings_dp(y, x)
     elif args.method == "runs":
+        # the chain's (u, v) pairs: at most runs(x) steps of band^2 pairs each
+        rx, ry = Rle.encode(x).block_count, Rle.encode(y).block_count
+        steps = rx * (max(ry - rx, 0) // 2 + 1) ** 2
+        if steps > 2**budget:
+            raise BudgetError(
+                f"runs(x)*((runs(y)-runs(x))//2+1)^2={steps} exceeds 2^{budget} "
+                "chain steps for --method runs; --method dp counts this pair"
+            )
         w = count_embeddings_runs(y, x)
     else:
         from .oracle import OracleBudget, oracle_count

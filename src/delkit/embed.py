@@ -6,7 +6,8 @@ supersequence of x.  Three independent routes compute it:
 
 * a dynamic program over prefix pairs, restricted at each symbol of y to the
   prefixes of x that are already reached and can still complete, which lie
-  between x's greedy leftmost and rightmost embeddings in y (the workhorse),
+  between x's greedy leftmost and rightmost embeddings in y (the workhorse;
+  it uses no run lengths),
 * explicit enumeration of the position masks themselves,
 * a run-length route that groups masks by which run of y hosts the last
   symbol of each run of x.
@@ -20,14 +21,16 @@ Such maps are exactly the strictly increasing, parity-preserving sequences
 draws its k'_i symbols from the same-parity runs of y in (f(i-1), f(i)], with
 at least one symbol landing in run f(i) itself.
 
-Each factor depends only on the pair (f(i-1), f(i)), so the sum over maps is
-a chain sum over map images: after i runs of x, chain[v] holds the summed
-weight of the maps of those runs with f(i) = v.  Step i tries only the
-same-parity images between left_i and right_i, the runs of y holding the last
-symbol of run i in x's greedy leftmost and rightmost embeddings; no other
-image can complete (the bounds are skipped where l - lp <= 1, with lp runs of
-x and l aligned runs of y, leaving one image per run at most).  Run i's factor
-for (u, v) is C(s(v) - s(u-1), k'_i) - C(s(v-2) - s(u-1), k'_i), with
+With lp runs of x and l aligned runs of y, l <= lp + 1 leaves one map at
+most, f(i) = i (f(lp) <= l has lp's parity, so f(lp) = lp, and so on down),
+and the count is the product of C(ky_i, k'_i): 0 where a run of y is too
+short, and 0 where l < lp.  Otherwise each factor depends only on the pair
+(f(i-1), f(i)), so the sum over maps is a chain sum over map images: after i
+runs of x, chain[v] holds the summed weight of the maps of those runs with
+f(i) = v.  Step i tries only the same-parity images between left_i and
+right_i, the runs of y holding the last symbol of run i in x's greedy
+leftmost and rightmost embeddings; no other image can complete.  Run i's
+factor for (u, v) is C(s(v) - s(u-1), k'_i) - C(s(v-2) - s(u-1), k'_i), with
 s(v) = ky_v + ky_(v-2) + ..., so the step stores T(v) - T(v-2), T(v) being
 chain[u] times the first binomial summed over u < v: one binomial per (u, v),
 as C(0, k) = 0.  That is O(lp * band^2) exact integer steps, band being the
@@ -40,7 +43,7 @@ inside the same bounds that drops a prefix as soon as one of its factors is 0
 from __future__ import annotations
 
 from collections import deque
-from math import comb
+from math import comb, prod
 
 from .core import Mask, _Frozen, _run_lengths, binomial, check_budget, validate_bits
 
@@ -63,7 +66,9 @@ def count_embeddings_dp(y: str, x: str) -> int:
     and x[j:] embeds in y[i + 1:].  The first bound moves with the greedy
     leftmost embedding of x, found inside the pass; the second is the
     position of x[j] in the greedy rightmost embedding, found by one backward
-    pass first (which also answers 0 when x does not embed at all).  Both
+    pass first (which also answers 0 when x does not embed at all).  That
+    pass steps back one symbol where y holds x[j] just before x[j + 1]'s
+    place, and searches y with rfind only elsewhere.  Both
     bounds are at least as tight as the length bounds, so the band is never
     wider than d + 1 = |y| - |x| + 1, and on y whose runs x keeps it is about
     one run wide.  O(|y| + sum of the band widths) exact int additions, O(|x|)
@@ -74,17 +79,21 @@ def count_embeddings_dp(y: str, x: str) -> int:
     m = len(x)
     if m == 0:
         return 1
+    if m > len(y):
+        return 0
     # last[j] = position of x[j] in the rightmost embedding of x in y.  Prefix
     # j leaves the band at y[last[j]], after which x[j:] no longer fits; its
     # count is still read once, at that same symbol (no x[j] lies between
-    # last[j] and last[j + 1]), and it is exact there
-    last = [0] * m + [len(y)]
-    at = len(y)
-    for k in range(m - 1, -1, -1):
-        at = y.rfind(x[k], 0, at)
-        if at < 0:
-            return 0
-        last[k] = at
+    # last[j] and last[j + 1]), and it is exact there.  Once at < 0, x does
+    # not embed and at stays negative
+    at, rfind = len(y), y.rfind
+    last = [
+        at := at - 1 if y[at - 1] == c else rfind(c, 0, at) if at > 0 else -1 for c in reversed(x)
+    ]
+    if at < 0:
+        return 0
+    last.reverse()
+    last.append(len(y))
     # counts[j] = embeddings of x[:j] in the scanned prefix of y; live[c]
     # holds the band's prefixes j with x[j-1] == c, descending, so each y
     # symbol is used at most once per embedding.  x[:reach] is what the
@@ -92,17 +101,19 @@ def count_embeddings_dp(y: str, x: str) -> int:
     counts = [1] + [0] * m
     live = {"0": deque(), "1": deque()}
     reach, lo = 0, 1
+    xs = x + " "  # want turns blank once all of x is placed
     want, drop = x[0], last[1]
     for i, ch in enumerate(y):
         if i == drop:
             live[x[lo - 1]].pop()
             lo += 1
             drop = last[lo]
+        band = live[ch]
         if ch == want:
             reach += 1
-            live[ch].appendleft(reach)
-            want = x[reach] if reach < m else ""
-        for j in live[ch]:
+            band.appendleft(reach)
+            want = xs[reach]
+        for j in band:
             counts[j] += counts[j - 1]
     return counts[m]
 
@@ -209,16 +220,20 @@ def _image_bounds(kx: tuple[int, ...], q: list[int], l: int) -> tuple[list[int],
 def count_embeddings_runs(y: str, x: str) -> int:
     """Number of embeddings of x in y, by the run-length route.
 
-    A chain sum over the images f(1), ..., f(lp) of the block maps, one step
-    per run of x; see the module docstring.
+    One binomial product where there is one block map at most, else a chain
+    sum over the images f(1), ..., f(lp) of the block maps, one step per run
+    of x; see the module docstring.
     """
     aligned = _aligned_run_lengths(y, x)
     if aligned is None:
         return 0
     ky, kx, q = aligned
     lp, l = len(kx), len(ky)
-    # with l - lp <= 1 each run has one image at most: nothing to bound
-    bounds = _image_bounds(kx, q, l) if l - lp > 1 else (range(1, lp + 1), range(l - lp + 1, l + 1))
+    if l - lp <= 1:
+        # the one map, if any, is f(i) = i; zip drops y's last run where
+        # l = lp + 1, and comb is 0 where a run of y is too short
+        return prod(map(comb, ky, kx)) if l >= lp else 0
+    bounds = _image_bounds(kx, q, l)
     if bounds is None:
         return 0
     chain = {0: 1}

@@ -76,6 +76,33 @@ def test_count_runs_method_is_polynomial(capsys):
     assert out == f"{count_embeddings_dp(y, x)}\n"
 
 
+def test_count_runs_method_follows_the_budget(capsys, monkeypatch):
+    # runs(x) * ((runs(y) - runs(x)) // 2 + 1)^2 chain steps against 2^budget:
+    # 20 * 11^2 = 2420 > 2^10 is refused before any counting, 8 * 5^2 = 200 is not
+    big = ("count", "--y", "01" * 20, "--x", "01" * 10, "--method", "runs")
+    small = ("count", "--y", "01" * 8, "--x", "01" * 4, "--method", "runs")
+    want = f"{count_embeddings_dp('01' * 8, '01' * 4)}\n"
+    for extra in (("--budget", "10"), ()):
+        if not extra:
+            monkeypatch.setenv("DELKIT_BUDGET", "10")
+        code, out, err = run(capsys, *big, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: runs(x)*((runs(y)-runs(x))//2+1)^2=2420 exceeds 2^10 ")
+        assert err.count("\n") == 1
+        assert run(capsys, *small, *extra) == (0, want, "")
+
+
+def test_count_runs_method_refuses_a_long_alternating_pair_at_the_default_budget(capsys):
+    # about 2.0e9 chain steps; the chain would run for minutes
+    y, x = "01" * 2000, "01" * 1000
+    code, out, err = run(capsys, "count", "--y", y, "--x", x, "--method", "runs")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: runs(x)*((runs(y)-runs(x))//2+1)^2=2004002000 exceeds 2^24 ")
+    # the dp is not bounded this way
+    code, out, _ = run(capsys, "count", "--y", y, "--x", x)
+    assert code == 0 and out == f"{count_embeddings_dp(y, x)}\n"
+
+
 def test_count_oracle_method(capsys):
     code, out, _ = run(capsys, "count", "--y", "10101", "--x", "101", "--method", "oracle")
     assert code == 0 and out == "4\n"

@@ -392,3 +392,45 @@ def test_same_run_count_product_formula_at_length_2000(seed):
     want = math.prod(math.comb(a, b) for a, b in zip(ky, kx))
     assert count_embeddings_dp(y, x) == want
     assert count_embeddings_runs(y, x) == want
+
+
+def spell(lengths, sym):
+    """The string with these run lengths, led by sym."""
+    return "".join((sym if i % 2 == 0 else complement(sym)) * k for i, k in enumerate(lengths))
+
+
+def too_long_run(ky, kx, sym):
+    kx[len(kx) // 2] = ky[len(kx) // 2] + 1
+    return spell(ky, sym), spell(kx, sym)
+
+
+# one-map pairs beyond equal run counts: (y, x) from the run lengths of a
+# product-formula pair, and whether the count is nonzero
+ONE_MAP_PAIRS = {
+    # alignment drops y's leading run of the other symbol
+    "y-first-run-dropped": (
+        lambda ky, kx, s: (complement(s) * 5 + spell(ky, s), spell(kx, s)),
+        True,
+    ),
+    # l = lp + 1: y's extra last run has the wrong parity to host anything
+    "y-extra-last-run": (lambda ky, kx, s: (spell(ky + [7], s), spell(kx, s)), True),
+    # one run of x longer than its run of y
+    "x-run-too-long": (too_long_run, False),
+    # l < lp: no map at all, though every run of y could host its run of x
+    "x-more-runs": (lambda ky, kx, s: (spell(ky, s), spell(kx + [1], s)), False),
+}
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+@pytest.mark.parametrize("case", ONE_MAP_PAIRS)
+def test_one_map_pairs_at_length_2000(case, seed):
+    rnd = random.Random(seed)
+    ky, kx = [], []
+    while sum(ky) < 2000:
+        ky.append(rnd.randint(1, 12))
+        kx.append(rnd.randint(1, ky[-1]))
+    build, nonzero = ONE_MAP_PAIRS[case]
+    y, x = build(ky, kx, rnd.choice("01"))
+    want = count_embeddings_dp(y, x)
+    assert (want > 0) == nonzero
+    assert count_embeddings_runs(y, x) == want
