@@ -15,7 +15,17 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Import the _LAZY modules until one binds name, as a star-import would."""
+    """Import the _LAZY modules until one binds name, as a star-import would.
+
+    A submodule's own name loads that submodule alone, or nothing: the import
+    system probes it on ``from delkit import cli`` before loading the module.
+    """
+    if name in _LAZY:
+        return __import__(f"{__name__}.{name}", fromlist=["__all__"])
+    if not name.startswith("__"):
+        from os.path import isfile, join
+        if isfile(join(__path__[0], f"{name}.py")):
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     if not name.startswith("__") or name == "__all__":
         for lazy in _LAZY:
             module = __import__(f"{__name__}.{lazy}", fromlist=["__all__"])

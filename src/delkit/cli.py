@@ -18,7 +18,6 @@ import errno
 import io
 import os
 import sys
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from itertools import chain, product
@@ -136,23 +135,9 @@ def _emit_table(
     _emit(buf.getvalue(), args.out)
 
 
-def _multiset_text(counts: dict[int, int]) -> str:
-    return " ".join(f"{w}:{counts[w]}" for w in sorted(counts)) or "-"
-
-
 def _all_bits(m: int):
     for bits in product("01", repeat=m):
         yield "".join(bits)
-
-
-def _compositions(m: int):
-    """All compositions of m into positive parts, in lex order."""
-    if m == 0:
-        yield ()
-        return
-    for first in range(1, m + 1):
-        for rest in _compositions(m - first):
-            yield (first,) + rest
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -258,9 +243,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_gchain(args: argparse.Namespace) -> int:
     x = validate_bits(args.x)
-    _resolve_budget(args)
+    budget, _ = _resolve_budget(args)
     if not x:
         raise ValueError("gchain needs a nonempty string")
+    # the chain has runs(x) rows of |x| symbols, which bounds output and work
+    cells = Rle.encode(x).block_count * len(x)
+    if cells > 2**budget:
+        raise BudgetError(
+            f"runs(x)*|x|={cells} exceeds 2^{budget} chain symbols for gchain; "
+            f"raise --budget or {ENV_BUDGET}"
+        )
     predict = (
         ent.predicted_weights_single if args.deletions == 1 else ent.predicted_weights_double
     )
@@ -274,143 +266,32 @@ def cmd_gchain(args: argparse.Namespace) -> int:
     return 0
 
 
-Row = tuple[str, str, str, bool]
-
-
-def _suite_clusters(max_m: int, budget: int) -> list[Row]:
-    rows: list[Row] = []
-    for m in range(0, max_m + 1):
-        for n in range(m, m + 4):
-            for h in range(0, m + 1):
-                x = "1" * h + "0" * (m - h)
-                members = space.enumerate_supersequences(n, x, budget)
-                tally = Counter(y.count("1") - h for y, _ in members)
-                for c in range(0, n - m + 1):
-                    closed = space.cluster_size_closed(n, m, h, c)
-                    simple = space.cluster_size_simple(n, m, h, c)
-                    rec = space.cluster_size_recursive(n, x, c)
-                    enum = tally[c]
-                    ok = closed == simple == rec == enum
-                    rows.append(
-                        (f"n={n} m={m} h={h} c={c}", str(closed), str(enum), ok)
-                    )
-    return rows
-
-
-def _suite_initials(max_m: int, budget: int) -> list[Row]:
-    rows: list[Row] = []
-    for m in range(1, max_m + 1):
-        for n in range(m, m + 4):
-            for x in _all_bits(m):
-                h = x.count("1")
-                members = space.enumerate_supersequences(n, x, budget)
-                tally = Counter(
-                    y.count("1") - h for y, _ in members if space.is_maximal_initial(y, x)
-                )
-                total = sum(tally.values())
-                ok = total == space.maximal_initials_total(n, m) and all(
-                    tally[c] == space.maximal_initials_cluster(n, m, h, c)
-                    for c in range(0, n - m + 1)
-                )
-                rows.append(
-                    (f"n={n} x={x}", str(total), str(space.maximal_initials_total(n, m)), ok)
-                )
-    return rows
-
-
-def _suite_singletons(max_m: int, budget: int) -> list[Row]:
-    rows: list[Row] = []
-    for m in range(1, max_m + 1):
-        for n in range(m, m + 4):
-            for x in _all_bits(m):
-                h = x.count("1")
-                singles = [y for y, w in space.enumerate_supersequences(n, x, budget) if w == 1]
-                tally = Counter(y.count("1") - h for y in singles)
-                closed = space.singleton_count(n, x)
-                ok = len(singles) == closed and all(
-                    tally[c] == space.singleton_cluster_count(n, x, c)
-                    for c in range(0, n - m + 1)
-                )
-                rows.append((f"n={n} x={x}", str(closed), str(len(singles)), ok))
-    return rows
-
-
-def _lemma_rows(max_m: int, extra: int, budget: int) -> list[Row]:
-    predict = ent.predicted_weights_single if extra == 1 else ent.predicted_weights_double
-    rows: list[Row] = []
-    for m in range(1, max_m + 1):
-        n = m + extra
-        for x in _all_bits(m):
-            predicted = predict(x).counts
-            observed = Counter(w for _, w in space.enumerate_supersequences(n, x, budget))
-            rows.append(
-                (
-                    f"x={x}",
-                    _multiset_text(predicted),
-                    _multiset_text(observed),
-                    predicted == observed,
-                )
-            )
-    return rows
-
-
-def _suite_identity(max_m: int, which: str) -> list[Row]:
-    fn = ent.double_count_identity if which == "B" else ent.double_weight_identity
-    rows: list[Row] = []
-    for m in range(1, max_m + 1):
-        for ks in _compositions(m):
-            lhs, rhs = fn(ks)
-            rows.append((",".join(str(k) for k in ks), str(lhs), str(rhs), lhs == rhs))
-    return rows
-
-
-def _suite_entropy_min(max_m: int) -> list[Row]:
-    def argmin_text(values: dict[str, float]) -> str:
-        low = min(values.values())
-        return "{" + ",".join(sorted(x for x, v in values.items() if v <= low + 1e-9)) + "}"
-
-    rows: list[Row] = []
-    for m in range(1, max_m + 1):
-        expected = "{" + ",".join(sorted(["0" * m, "1" * m])) + "}"
-        for extra, predict in (
-            (1, ent.predicted_weights_single),
-            (2, ent.predicted_weights_double),
-        ):
-            n = m + extra
-            got = argmin_text({x: ent.shannon_entropy(predict(x)) for x in _all_bits(m)})
-            rows.append((f"m={m} n={n} measure=H", got, expected, got == expected))
-        n = m + 1
-        dists = {x: ent.predicted_weights_single(x) for x in _all_bits(m)}
-        for a in (0.5, 2.0, 3.0):
-            got = argmin_text({x: ent.renyi_entropy(d, a) for x, d in dists.items()})
-            rows.append((f"m={m} n={n} measure=R{a:g}", got, expected, got == expected))
-    return rows
-
-
-# suite name -> (rows for a --max-m and budget, default --max-m, n - m at its
-# longest enumeration or None), in --help order; only clusters enumerates at m = 0
+# suite name -> (its rows function in delkit.verify, called with a --max-m and
+# budget; default --max-m; n - m at its longest enumeration or None), in --help
+# order; only clusters enumerates at m = 0
 SUITES = {
-    "clusters": (_suite_clusters, 6, 3),
-    "initials": (_suite_initials, 5, 3),
-    "singletons": (_suite_singletons, 5, 3),
-    "lemma1": (lambda max_m, budget: _lemma_rows(max_m, 1, budget), 8, 1),
-    "lemma4": (lambda max_m, budget: _lemma_rows(max_m, 2, budget), 8, 2),
-    "identityB": (lambda max_m, _: _suite_identity(max_m, "B"), 10, None),
-    "identityC": (lambda max_m, _: _suite_identity(max_m, "C"), 10, None),
-    "entropy-min": (lambda max_m, _: _suite_entropy_min(max_m), 8, None),
+    "clusters": ("clusters", 6, 3),
+    "initials": ("initials", 5, 3),
+    "singletons": ("singletons", 5, 3),
+    "lemma1": ("lemma1", 8, 1),
+    "lemma4": ("lemma4", 8, 2),
+    "identityB": ("identity_b", 10, None),
+    "identityC": ("identity_c", 10, None),
+    "entropy-min": ("entropy_min", 8, None),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     budget, _ = _resolve_budget(args)
-    suite_rows, default_max_m, extra = SUITES[args.suite]
+    rows_of, default_max_m, extra = SUITES[args.suite]
     max_m = default_max_m if args.max_m is None else args.max_m
     if max_m < 0:
         raise ValueError(f"--max-m must be nonnegative, got {max_m}")
     check_budget(max_m, budget, "--max-m")
     if extra is not None and (max_m or args.suite == "clusters"):
         check_budget(max_m + extra, budget)
-    rows = suite_rows(max_m, budget)
+    from . import verify  # every refusal is made; only verify compiles the suites
+    rows = getattr(verify, rows_of)(max_m, budget)
     failures = sum(1 for r in rows if not r[3])
     meta: list[tuple[str, object]] = [
         ("suite", args.suite),

@@ -563,6 +563,30 @@ def test_gchain_two_steps(capsys):
     assert [r[1] for r in rows] == ["110", "000"]
 
 
+def test_gchain_follows_the_budget(capsys, monkeypatch):
+    # runs(x) rows of |x| symbols against 2^budget: 34 * 34 = 1156 > 2^10 is
+    # refused before any work, 32 * 32 = 1024 is not
+    for extra in (("--budget", "10"), ()):
+        if not extra:
+            monkeypatch.setenv("DELKIT_BUDGET", "10")
+        code, out, err = run(capsys, "gchain", "--x", "01" * 17, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: runs(x)*|x|=1156 exceeds 2^10 ")
+        assert err.count("\n") == 1
+        code, out, err = run(capsys, "gchain", "--x", "01" * 16, *extra)
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)[2]) == 32
+
+
+def test_gchain_refuses_a_long_alternating_x_at_the_default_budget(capsys):
+    # 4200 * 4200 = 17,640,000 > 2^24; (01)^2000's 16,000,000 is admitted
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gchain", "--x", "01" * 2100, "--deletions", "2")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: runs(x)*|x|=17640000 exceeds 2^24 ")
+
+
 def test_verify_identity_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "identityB", "--max-m", "6")
     assert code == 0
@@ -751,6 +775,55 @@ def test_start_up_loads_only_what_the_entry_point_uses():
         "True",
         "module 'delkit' has no attribute 'no_such_name'",
     ]
+
+
+def _package_modules_after(code):
+    """The delkit modules loaded by a fresh -S interpreter that ran code."""
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'delkit'))\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys\n" + code],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_importing_a_submodule_by_from_loads_no_other_module():
+    # the import system probes the package for the name before loading it
+    want = _package_modules_after("import delkit.cli")
+    assert want == [str(["delkit", "delkit.cli", "delkit.core", "delkit.embed",
+                         "delkit.entropy", "delkit.space"])]
+    assert _package_modules_after("from delkit import cli") == want
+    assert _package_modules_after("from delkit import oracle") == [
+        str(["delkit", "delkit.core", "delkit.embed", "delkit.oracle"])
+    ]
+    assert _package_modules_after(
+        "import delkit\n"
+        "try:\n"
+        "    delkit.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n"
+    )[0] == "module 'delkit' has no attribute 'no_such_name'"
+
+
+def test_only_verify_loads_the_verify_suites():
+    lines = _package_modules_after(
+        "import contextlib, io\n"
+        "from delkit.cli import main\n"
+        "def loaded():\n"
+        "    print([m for m in ('delkit.verify', 'delkit.oracle') if m in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['sweep', '--m', '3', '--n', '5'])\n"
+        "    main(['distribution', '--x', '0110101', '--n', '12', '--by-cluster'])\n"
+        "    main(['count', '--y', '0110', '--x', '01'])\n"
+        "    main(['gchain', '--x', '0110', '--deletions', '2'])\n"
+        "loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['verify', '--suite', 'identityB', '--max-m', '3'])\n"
+        "loaded()\n"
+    )
+    assert lines[:2] == ["[]", "['delkit.verify']"]
 
 
 def test_star_import_and_dir_cover_every_exported_name():
