@@ -10,33 +10,47 @@ from . import core, embed
 from .core import *
 from .embed import *
 
-_LAZY = ("space", "entropy", "oracle")  # loaded on first use, in this order
+# each module loaded on first use, with the names it exports (its __all__)
+_LAZY = {
+    "space": ("cluster_size_closed", "enumerate_supersequences", "upsilon_size"),
+    "clusters": (
+        "RunSlots", "cluster_size_recursive", "cluster_size_simple", "composition_slots",
+        "initial_mask", "is_maximal_initial", "maximal_initials_cluster",
+        "maximal_initials_total", "run_slots", "singleton_cluster_count", "singleton_count",
+    ),
+    "entropy": (
+        "WeightDistribution", "min_entropy", "mu", "renyi_entropy", "shannon_entropy",
+        "weight_distribution", "weight_distributions",
+    ),
+    "deletions": (
+        "delta_single", "double_count_identity", "double_weight_identity", "g_chain",
+        "g_transform", "predicted_weights_double", "predicted_weights_single",
+    ),
+    "oracle": (
+        "EntropyReport", "OracleBudget", "OracleSpace", "oracle_count", "oracle_entropy",
+        "oracle_space", "oracle_weight_table",
+    ),
+}
+__all__ = core.__all__ + embed.__all__ + [name for names in _LAZY.values() for name in names]
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Import the _LAZY modules until one binds name, as a star-import would.
+    """Load the one _LAZY module that is name, or that exports it.
 
-    A submodule's own name loads that submodule alone, or nothing: the import
-    system probes it on ``from delkit import cli`` before loading the module.
+    Any other submodule's name raises, so that the import system loads that
+    submodule alone: it probes the package for the name on ``from delkit
+    import cli`` before loading the module.
     """
     if name in _LAZY:
         return __import__(f"{__name__}.{name}", fromlist=["__all__"])
-    if not name.startswith("__"):
-        from os.path import isfile, join
-        if isfile(join(__path__[0], f"{name}.py")):
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if not name.startswith("__") or name == "__all__":
-        for lazy in _LAZY:
-            module = __import__(f"{__name__}.{lazy}", fromlist=["__all__"])
-            globals().update((k, getattr(module, k)) for k in module.__all__)
-            if name in globals():
-                return globals()[name]
-    if name == "__all__":
-        names = [k for m in _LAZY for k in globals()[m].__all__]
-        return globals().setdefault("__all__", core.__all__ + embed.__all__ + names)
+    for module_name, names in _LAZY.items():
+        if name in names:
+            module = __import__(f"{__name__}.{module_name}", fromlist=["__all__"])
+            globals().update((k, getattr(module, k)) for k in names)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__getattr__("__all__")))
+    return sorted(set(globals()) | set(__all__))

@@ -20,12 +20,13 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from itertools import chain, product
+from itertools import chain
 
 from . import entropy as ent
 from . import space
 from .core import (
-    DEFAULT_BUDGET, BudgetError, Rle, check_budget, complement, format_mask, validate_bits
+    DEFAULT_BUDGET, BudgetError, Rle, _all_bits, check_budget, complement, format_mask,
+    validate_bits,
 )
 from .embed import count_embeddings_dp, count_embeddings_runs, enumerate_masks
 
@@ -133,11 +134,6 @@ def _emit_table(
             rows = ([_cell(v) for v in row] for row in rows)
         w.writerows(rows)
     _emit(buf.getvalue(), args.out)
-
-
-def _all_bits(m: int):
-    for bits in product("01", repeat=m):
-        yield "".join(bits)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -253,10 +249,9 @@ def cmd_gchain(args: argparse.Namespace) -> int:
             f"runs(x)*|x|={cells} exceeds 2^{budget} chain symbols for gchain; "
             f"raise --budget or {ENV_BUDGET}"
         )
-    predict = (
-        ent.predicted_weights_single if args.deletions == 1 else ent.predicted_weights_double
-    )
-    rows = [(i, s, ent.shannon_entropy(predict(s))) for i, s in enumerate(ent.g_chain(x))]
+    from .deletions import g_chain, predicted_weights_double, predicted_weights_single
+    predict = predicted_weights_single if args.deletions == 1 else predicted_weights_double
+    rows = [(i, s, ent.shannon_entropy(predict(s))) for i, s in enumerate(g_chain(x))]
     meta: list[tuple[str, object]] = [
         ("x", x),
         ("deletions", args.deletions),

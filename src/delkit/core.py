@@ -8,6 +8,7 @@ here can overflow.
 from __future__ import annotations
 
 import re
+from itertools import product
 from math import comb
 
 __all__ = [
@@ -65,11 +66,20 @@ def check_budget(n: int, budget: int | None = None, what: str = "n") -> None:
         raise BudgetError(f"{what}={n} exceeds enumeration budget {limit}")
 
 
+_NOT_BITS = str.maketrans("", "", "01")  # deletes '0' and '1', leaving any other symbol
+
+
 def validate_bits(s: str) -> str:
     """Return ``s`` unchanged if it is a string over {'0','1'}, else raise."""
-    if not isinstance(s, str) or s.strip("01"):
+    if not isinstance(s, str) or s.translate(_NOT_BITS):
         raise ValueError(f"not a bit string: {s!r}")
     return s
+
+
+def _all_bits(m: int):
+    """Every bit string of length m, in lex order."""
+    for bits in product("01", repeat=m):
+        yield "".join(bits)
 
 
 _FLIP = str.maketrans("01", "10")

@@ -12,7 +12,15 @@ from collections import Counter
 
 from . import entropy as ent
 from . import space
-from .cli import _all_bits
+from .clusters import (
+    cluster_size_recursive, cluster_size_simple, is_maximal_initial, maximal_initials_cluster,
+    maximal_initials_total, singleton_cluster_count, singleton_count,
+)
+from .core import _all_bits
+from .deletions import (
+    double_count_identity, double_weight_identity, predicted_weights_double,
+    predicted_weights_single,
+)
 
 Row = tuple[str, str, str, bool]
 
@@ -41,8 +49,8 @@ def clusters(max_m: int, budget: int) -> list[Row]:
                 tally = Counter(y.count("1") - h for y, _ in members)
                 for c in range(0, n - m + 1):
                     closed = space.cluster_size_closed(n, m, h, c)
-                    simple = space.cluster_size_simple(n, m, h, c)
-                    rec = space.cluster_size_recursive(n, x, c)
+                    simple = cluster_size_simple(n, m, h, c)
+                    rec = cluster_size_recursive(n, x, c)
                     enum = tally[c]
                     ok = closed == simple == rec == enum
                     rows.append(
@@ -59,15 +67,15 @@ def initials(max_m: int, budget: int) -> list[Row]:
                 h = x.count("1")
                 members = space.enumerate_supersequences(n, x, budget)
                 tally = Counter(
-                    y.count("1") - h for y, _ in members if space.is_maximal_initial(y, x)
+                    y.count("1") - h for y, _ in members if is_maximal_initial(y, x)
                 )
                 total = sum(tally.values())
-                ok = total == space.maximal_initials_total(n, m) and all(
-                    tally[c] == space.maximal_initials_cluster(n, m, h, c)
+                ok = total == maximal_initials_total(n, m) and all(
+                    tally[c] == maximal_initials_cluster(n, m, h, c)
                     for c in range(0, n - m + 1)
                 )
                 rows.append(
-                    (f"n={n} x={x}", str(total), str(space.maximal_initials_total(n, m)), ok)
+                    (f"n={n} x={x}", str(total), str(maximal_initials_total(n, m)), ok)
                 )
     return rows
 
@@ -80,9 +88,9 @@ def singletons(max_m: int, budget: int) -> list[Row]:
                 h = x.count("1")
                 singles = [y for y, w in space.enumerate_supersequences(n, x, budget) if w == 1]
                 tally = Counter(y.count("1") - h for y in singles)
-                closed = space.singleton_count(n, x)
+                closed = singleton_count(n, x)
                 ok = len(singles) == closed and all(
-                    tally[c] == space.singleton_cluster_count(n, x, c)
+                    tally[c] == singleton_cluster_count(n, x, c)
                     for c in range(0, n - m + 1)
                 )
                 rows.append((f"n={n} x={x}", str(closed), str(len(singles)), ok))
@@ -90,7 +98,7 @@ def singletons(max_m: int, budget: int) -> list[Row]:
 
 
 def _lemma_rows(max_m: int, extra: int, budget: int) -> list[Row]:
-    predict = ent.predicted_weights_single if extra == 1 else ent.predicted_weights_double
+    predict = predicted_weights_single if extra == 1 else predicted_weights_double
     rows: list[Row] = []
     for m in range(1, max_m + 1):
         n = m + extra
@@ -126,11 +134,11 @@ def _identity_rows(max_m: int, fn) -> list[Row]:
 
 
 def identity_b(max_m: int, _budget: int) -> list[Row]:
-    return _identity_rows(max_m, ent.double_count_identity)
+    return _identity_rows(max_m, double_count_identity)
 
 
 def identity_c(max_m: int, _budget: int) -> list[Row]:
-    return _identity_rows(max_m, ent.double_weight_identity)
+    return _identity_rows(max_m, double_weight_identity)
 
 
 def entropy_min(max_m: int, _budget: int) -> list[Row]:
@@ -142,14 +150,14 @@ def entropy_min(max_m: int, _budget: int) -> list[Row]:
     for m in range(1, max_m + 1):
         expected = "{" + ",".join(sorted(["0" * m, "1" * m])) + "}"
         for extra, predict in (
-            (1, ent.predicted_weights_single),
-            (2, ent.predicted_weights_double),
+            (1, predicted_weights_single),
+            (2, predicted_weights_double),
         ):
             n = m + extra
             got = argmin_text({x: ent.shannon_entropy(predict(x)) for x in _all_bits(m)})
             rows.append((f"m={m} n={n} measure=H", got, expected, got == expected))
         n = m + 1
-        dists = {x: ent.predicted_weights_single(x) for x in _all_bits(m)}
+        dists = {x: predicted_weights_single(x) for x in _all_bits(m)}
         for a in (0.5, 2.0, 3.0):
             got = argmin_text({x: ent.renyi_entropy(d, a) for x, d in dists.items()})
             rows.append((f"m={m} n={n} measure=R{a:g}", got, expected, got == expected))

@@ -11,33 +11,27 @@ from itertools import combinations, product
 
 import numpy as np
 
-from delkit.core import binomial
-from delkit.embed import block_map_weights, count_embeddings_dp, count_embeddings_runs
-from delkit.entropy import (
-    delta_single,
-    double_count_identity,
-    double_weight_identity,
-    g_chain,
-    min_entropy,
-    mu,
-    predicted_weights_double,
-    predicted_weights_single,
-    renyi_entropy,
-    shannon_entropy,
-    weight_distribution,
-)
-from delkit.oracle import oracle_weight_table
-from delkit.space import (
-    cluster_size_closed,
+from delkit.clusters import (
     cluster_size_recursive,
     cluster_size_simple,
-    enumerate_supersequences,
     is_maximal_initial,
     maximal_initials_cluster,
     maximal_initials_total,
     singleton_count,
-    upsilon_size,
 )
+from delkit.core import binomial
+from delkit.embed import block_map_weights, count_embeddings_dp, count_embeddings_runs
+from delkit.deletions import (
+    delta_single,
+    double_count_identity,
+    double_weight_identity,
+    g_chain,
+    predicted_weights_double,
+    predicted_weights_single,
+)
+from delkit.entropy import min_entropy, mu, renyi_entropy, shannon_entropy, weight_distribution
+from delkit.oracle import oracle_weight_table
+from delkit.space import cluster_size_closed, enumerate_supersequences, upsilon_size
 
 # length-5 weight rows published for x=110 and x=101 (15 rows each)
 TABLE_110 = {

@@ -16,9 +16,9 @@ import pytest
 
 from delkit import core, entropy
 from delkit.cli import SUITES, main
+from delkit.clusters import is_maximal_initial
 from delkit.embed import count_embeddings_dp
 from delkit.oracle import oracle_space, oracle_weight_table
-from delkit.space import is_maximal_initial
 
 from helpers import all_bits
 
@@ -805,6 +805,59 @@ def test_importing_a_submodule_by_from_loads_no_other_module():
         "except AttributeError as e:\n"
         "    print(e)\n"
     )[0] == "module 'delkit' has no attribute 'no_such_name'"
+
+
+@pytest.mark.parametrize(
+    "name, loads",
+    [
+        ("oracle_count", ["delkit.oracle"]),
+        ("count_embeddings_dp", []),
+        ("weight_distribution", ["delkit.entropy", "delkit.space"]),
+        ("g_chain", ["delkit.deletions", "delkit.entropy", "delkit.space"]),
+        ("run_slots", ["delkit.clusters", "delkit.space"]),
+    ],
+)
+def test_a_package_level_name_loads_only_the_module_that_exports_it(name, loads):
+    # on top of what import delkit loads, the owner and the modules it imports
+    lines = _package_modules_after(f"import delkit\ndelkit.{name}")
+    assert lines == [str(sorted(["delkit", "delkit.core", "delkit.embed", *loads]))]
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["count", "--y", "0110", "--x", "01"], []),
+        (["gchain", "--x", "0110", "--deletions", "2"], ["delkit.deletions"]),
+        (["verify", "--suite", "identityB", "--max-m", "3"], ["delkit.clusters", "delkit.deletions"]),
+        (["sweep", "--m", "3", "--n", "5"], []),
+        (["distribution", "--x", "0110101", "--n", "12", "--by-cluster"], []),
+    ],
+)
+def test_each_subcommand_loads_clusters_or_deletions_only_if_it_calls_them(argv, loads):
+    lines = _package_modules_after(
+        "import contextlib, io\n"
+        "from delkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({argv!r})\n"
+        "print([m for m in ('delkit.clusters', 'delkit.deletions') if m in sys.modules])\n"
+    )
+    assert lines[0] == str(loads)
+
+
+def test_verify_run_as_a_module_leaves_delkit_cli_unloaded():
+    # under -m the running CLI is __main__; importing delkit.cli again would
+    # compile and run cli.py a second time
+    lines = _package_modules_after(
+        "import contextlib, io, runpy\n"
+        "sys.argv = ['delkit', 'verify', '--suite', 'identityB', '--max-m', '3']\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        runpy.run_module('delkit.cli', run_name='__main__')\n"
+        "except SystemExit as e:\n"
+        "    print(e.code)\n"
+        "print('delkit.verify' in sys.modules, 'delkit.cli' in sys.modules)\n"
+    )
+    assert lines[:2] == ["0", "True False"]
 
 
 def test_only_verify_loads_the_verify_suites():

@@ -100,15 +100,27 @@ def test_mask_formatting_is_one_based():
 
 def test_package_exports_the_union_of_module_lists():
     import delkit
-    from delkit import core, embed, entropy, oracle, space
+    from delkit import clusters, core, deletions, embed, entropy, oracle, space
 
-    names = core.__all__ + embed.__all__ + entropy.__all__ + oracle.__all__ + space.__all__
+    names = (
+        core.__all__ + embed.__all__ + entropy.__all__ + deletions.__all__ + oracle.__all__
+        + space.__all__ + clusters.__all__
+    )
     assert len(set(names)) == len(names)
     assert sorted(delkit.__all__) == sorted(names)
     assert all(hasattr(delkit, name) for name in names)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "delkit"
+
+
+def test_each_lazy_table_entry_is_its_modules_export_list():
+    import importlib
+
+    import delkit
+
+    for module, names in delkit._LAZY.items():
+        assert list(names) == importlib.import_module(f"delkit.{module}").__all__, module
 
 
 @pytest.mark.parametrize("module", ["oracle", "embed", "space"])
@@ -132,11 +144,22 @@ def test_readme_quick_start_runs():
     exec(compile(block.group(1), "README.md", "exec"), {})
 
 
-@pytest.mark.parametrize("bad", ["0a1", "01\n", "1 ", "\n", "0\x001"])
+@pytest.mark.parametrize(
+    "bad", ["0a1", "01\n", "1 ", "\n", "0\x001", " 01", "01 ", "\uff10\uff11", b"01", None]
+)
 def test_validate_bits_rejects_any_stray_character(bad):
     with pytest.raises(ValueError) as err:
         validate_bits(bad)
     assert str(err.value) == f"not a bit string: {bad!r}"
+
+
+@given(st.text(alphabet="01 \n\x00\uff10\uff11a", max_size=12))
+def test_validate_bits_accepts_exactly_the_strings_over_0_and_1(s):
+    if set(s) <= {"0", "1"}:
+        assert validate_bits(s) is s
+    else:
+        with pytest.raises(ValueError):
+            validate_bits(s)
 
 
 def test_run_lengths_match_the_runs_spelled_out():

@@ -7,31 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delkit import space
+from delkit import clusters, space
+from delkit.clusters import composition_slots
 from delkit.core import complement
-from delkit.entropy import (
-    WeightDistribution,
+from delkit.deletions import (
     _double_insertion_cases,
     delta_single,
     double_count_identity,
     double_weight_identity,
     g_chain,
     g_transform,
-    min_entropy,
-    mu,
     predicted_weights_double,
     predicted_weights_single,
+)
+from delkit.entropy import (
+    WeightDistribution,
+    min_entropy,
+    mu,
     renyi_entropy,
     shannon_entropy,
     weight_distribution,
 )
-from delkit.space import (
-    _prefix_level,
-    _split_half_pays,
-    composition_slots,
-    enumerate_supersequences,
-    upsilon_size,
-)
+from delkit.space import _prefix_level, _split_half_pays, enumerate_supersequences, upsilon_size
 
 from helpers import all_bits, compositions
 
@@ -284,9 +281,9 @@ def test_run_readers_agree_with_rle_exhaustively():
             else:
                 assert g_transform(x) == Rle(flip, (ks[0] + ks[1],) + ks[2:]).decode()
             rho: Counter[str] = Counter()
-            for i, slots in enumerate(space.composition_slots(ks)):
+            for i, slots in enumerate(clusters.composition_slots(ks)):
                 rho[r.leading if i % 2 == 0 else flip] += slots
-            assert space.run_slots(x) == space.RunSlots(rho["0"], rho["1"])
+            assert clusters.run_slots(x) == clusters.RunSlots(rho["0"], rho["1"])
             counts: Counter[int] = Counter({1: m - r.block_count + 2})
             for k in ks:
                 counts[k + 1] += 1

@@ -8,21 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delkit import space
-from delkit.core import BudgetError
-from delkit.embed import count_embeddings_dp, enumerate_masks
-from delkit.entropy import weight_distribution
-from delkit.oracle import oracle_space, oracle_weight_table
-from delkit.space import (
+from delkit.clusters import (
     RunSlots,
-    _prefix_level,
-    _split_half_level,
-    _split_half_pays,
-    _weight_histograms,
-    cluster_size_closed,
     cluster_size_recursive,
     cluster_size_simple,
     composition_slots,
-    enumerate_supersequences,
     initial_mask,
     is_maximal_initial,
     maximal_initials_cluster,
@@ -30,6 +20,18 @@ from delkit.space import (
     run_slots,
     singleton_cluster_count,
     singleton_count,
+)
+from delkit.core import BudgetError
+from delkit.embed import count_embeddings_dp, enumerate_masks
+from delkit.entropy import weight_distribution
+from delkit.oracle import oracle_space, oracle_weight_table
+from delkit.space import (
+    _prefix_level,
+    _split_half_level,
+    _split_half_pays,
+    _weight_histograms,
+    cluster_size_closed,
+    enumerate_supersequences,
     upsilon_size,
 )
 
