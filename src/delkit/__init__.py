@@ -26,10 +26,7 @@ _LAZY = {
         "delta_single", "double_count_identity", "double_weight_identity", "g_chain",
         "g_transform", "predicted_weights_double", "predicted_weights_single",
     ),
-    "oracle": (
-        "EntropyReport", "OracleBudget", "OracleSpace", "oracle_count", "oracle_entropy",
-        "oracle_space", "oracle_weight_table",
-    ),
+    "oracle": ("OracleBudget", "oracle_count", "oracle_weight_table"),
 }
 __all__ = core.__all__ + embed.__all__ + [name for names in _LAZY.values() for name in names]
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ sweep (entropy table over all x of one length), gchain (run-merging chain
 with entropies), verify (self-check suites).  Output is CSV (with leading
 ``# key=value`` metadata lines) or JSON; both are deterministic byte-for-byte
 for a given invocation.  Exit codes: 0 success, 1 verification failure
-or stdout closed early, 2 usage/budget error.
+or stdout closed early, 2 usage/budget error or out of memory.
 
 Enumeration budgets resolve as flag (--budget) over environment
 (DELKIT_BUDGET) over the built-in default of 24, and must be nonnegative.
@@ -25,8 +25,8 @@ from itertools import chain
 from . import entropy as ent
 from . import space
 from .core import (
-    DEFAULT_BUDGET, BudgetError, Rle, _all_bits, check_budget, complement, format_mask,
-    validate_bits,
+    DEFAULT_BUDGET, BudgetError, _all_bits, _run_lengths, check_budget, complement,
+    format_mask, validate_bits,
 )
 from .embed import count_embeddings_dp, count_embeddings_runs, enumerate_masks
 
@@ -144,7 +144,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         w = count_embeddings_dp(y, x)
     elif args.method == "runs":
         # the chain's (u, v) pairs: at most runs(x) steps of band^2 pairs each
-        rx, ry = Rle.encode(x).block_count, Rle.encode(y).block_count
+        rx, ry = len(_run_lengths(x)), len(_run_lengths(y))
         steps = rx * (max(ry - rx, 0) // 2 + 1) ** 2
         if steps > 2**budget:
             raise BudgetError(
@@ -243,7 +243,7 @@ def cmd_gchain(args: argparse.Namespace) -> int:
     if not x:
         raise ValueError("gchain needs a nonempty string")
     # the chain has runs(x) rows of |x| symbols, which bounds output and work
-    cells = Rle.encode(x).block_count * len(x)
+    cells = len(_run_lengths(x)) * len(x)
     if cells > 2**budget:
         raise BudgetError(
             f"runs(x)*|x|={cells} exceeds 2^{budget} chain symbols for gchain; "
@@ -373,13 +373,16 @@ def main(argv: list[str] | None = None) -> int:
         with _any_int_digits():
             return args.func(args)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        message = str(e)
+    except MemoryError:  # reported below, once the frames that held the memory are gone
+        message = f"{args.command} ran out of memory"
     except BrokenPipeError:  # stdout closed early: keep the flush at exit quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ live prefix counts of x and can resume from levels kept by an earlier call.
 Two routes produce that level: the walk itself, run to depth n, and
 _split_half_level, which runs it from the root to halfway on x and on
 reversed x and joins the two halves.  _weight_histograms, the one entry to
-both, checks each x, lets _split_half_pays pick the route once per |x|, and
-alone turns the level into the sorted histogram and its clusters.  The
-walk's level at depth L <= |x| depends only on x[:L], so each walk resumes
-from the level the walk before it kept at their common prefix.
+both, checks each x, walks an x of at most one run, lets _split_half_pays
+pick the route for the rest once per |x|, and alone turns the level into the
+sorted histogram and its clusters.  The walk's level at depth L <= |x|
+depends only on x[:L], so each walk resumes from the level the walk before
+it kept at their common prefix.
 """
 from __future__ import annotations
 
@@ -233,8 +234,11 @@ def _weight_histograms(
             raise ValueError(f"need n >= 0, got {n}")
         if m > n:
             raise ValueError(f"need 0 <= |x| <= n, got |x|={m}, n={n}")
-        if pays(n, m):
+        # a one-run x walks: its band at depth L is a function of the prefix's
+        # zero count, so each level holds at most L + 1 states
+        if x.strip(x[:1]) and pays(n, m):
             level = _split_half_level(n, x, by_cluster)
+            kept.clear()  # the next walk must not resume from the last walked x's levels
         else:
             same = isinstance(after, str) and len(after) == m
             keep = next((j for j in range(m) if x[j] != after[j]), m) if same else 0

@@ -18,9 +18,10 @@ from delkit import core, entropy
 from delkit.cli import SUITES, main
 from delkit.clusters import is_maximal_initial
 from delkit.embed import count_embeddings_dp
-from delkit.oracle import oracle_space, oracle_weight_table
+from delkit.oracle import oracle_weight_table
 
 from helpers import all_bits
+from oracle_scan import oracle_space
 
 GOLDEN_DIST_110 = """\
 # x=110
@@ -327,6 +328,55 @@ def test_short_x_with_a_raised_budget_walks(capsys):
     _, header, rows = parse_csv(out)
     assert header == ["cluster", "weight", "count"]
     assert rows == [[str(c), "1", str(math.comb(100, c))] for c in range(101)]
+
+
+# the CLI in a child capped at 1 GB of address space and 30 s of CPU
+CAPPED = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+from delkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_capped(*argv):
+    """The capped child's exit code, stdout, stderr and CPU seconds."""
+    import resource
+
+    def cpu():
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return usage.ru_utime + usage.ru_stime
+
+    start = cpu()
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED, *argv], capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr, cpu() - start
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps memory on Linux")
+@pytest.mark.parametrize("x, n", [("00000000", 60), ("000000", 28)])
+def test_a_one_run_x_walks_where_the_join_would_not_fit(x, n):
+    # the rule would join 2^n pairs here, which runs out of the 1 GB at n = 60
+    # and takes about 18 s at n = 28; a one-run x has at most L + 1 walk
+    # states at depth L, and y with c ones holds C(n - c, m) embeddings of 0^m
+    code, out, err, cpu = run_capped("distribution", "--x", x, "--n", str(n), "--budget", str(n))
+    assert code == 0 and err == "" and cpu < 1, (code, err, cpu)
+    _, header, rows = parse_csv(out)
+    m = len(x)
+    assert header == ["weight", "count"]
+    assert rows == [[str(math.comb(z, m)), str(math.comb(n, z))] for z in range(m, n + 1)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps memory on Linux")
+def test_running_out_of_memory_exits_2_in_one_line():
+    # both routes need more than 1 GB for a general 8-bit x at n = 60
+    code, out, err, _ = run_capped(
+        "distribution", "--x", "01101001", "--n", "60", "--budget", "60"
+    )
+    assert code == 2 and out == "", (code, err)
+    assert err == "error: distribution ran out of memory\n"
 
 
 def test_sweep_point_mass_entropies_are_positive_zero(capsys):

@@ -387,7 +387,7 @@ def test_identities_hold_for_all_small_compositions():
 @settings(max_examples=150, deadline=None)
 @given(bits)
 def test_two_entropy_paths_agree(x):
-    from delkit.oracle import oracle_entropy
+    from oracle_scan import oracle_entropy
 
     n = len(x) + 2
     d = weight_distribution(n, x)

@@ -5,15 +5,10 @@ import pytest
 
 from delkit.core import BudgetError
 from delkit.entropy import renyi_entropy, weight_distribution
-from delkit.oracle import (
-    OracleBudget,
-    oracle_count,
-    oracle_entropy,
-    oracle_space,
-    oracle_weight_table,
-)
+from delkit.oracle import OracleBudget, oracle_count, oracle_weight_table
 
 from helpers import all_bits
+from oracle_scan import oracle_entropy, oracle_space
 
 
 def test_oracle_count_golden():
@@ -67,8 +62,8 @@ def test_oracle_space_budget():
     with pytest.raises(BudgetError):
         oracle_space(15, "1")
     with pytest.raises(BudgetError):
-        oracle_space(10, "1", budget=OracleBudget(max_scan_n=8))
-    assert oracle_space(8, "1", budget=OracleBudget(max_scan_n=8)).weights
+        oracle_space(10, "1", max_n=8)
+    assert oracle_space(8, "1", max_n=8).weights
 
 
 def test_weight_table_matches_scalar_scan():

@@ -1,6 +1,7 @@
 import random
 from collections import Counter, defaultdict
 from functools import cache
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -22,9 +23,10 @@ from delkit.clusters import (
     singleton_count,
 )
 from delkit.core import BudgetError
+from delkit.deletions import predicted_weights_double, predicted_weights_single
 from delkit.embed import count_embeddings_dp, enumerate_masks
 from delkit.entropy import weight_distribution
-from delkit.oracle import oracle_space, oracle_weight_table
+from delkit.oracle import oracle_weight_table
 from delkit.space import (
     _prefix_level,
     _split_half_level,
@@ -36,6 +38,7 @@ from delkit.space import (
 )
 
 from helpers import all_bits
+from oracle_scan import oracle_space
 
 bits = st.text(alphabet="01", max_size=10)
 
@@ -341,6 +344,16 @@ def test_shared_walk_equals_each_walk_alone_in_any_order():
                 assert got == [want[x] for x in order], (n, by_cluster)
 
 
+def test_a_joined_x_leaves_no_kept_levels_to_the_next_walk():
+    # 0000 walks and keeps its levels to depth 3 for 0001, which joins
+    # instead; 1111 must then walk from the root, not from 0000's level
+    n, xs = 8, ["0000", "0001", "1111"]
+    assert _split_half_pays(n, 4)
+    for by_cluster in (False, True):
+        want = [next(_weight_histograms(n, [x], by_cluster)) for x in xs]
+        assert list(_weight_histograms(n, xs, by_cluster)) == want
+
+
 @pytest.mark.parametrize(
     "n, x, L",
     [(13, "01101001110", L) for L in (0, 1, 6, 11)]
@@ -361,6 +374,88 @@ def test_prefix_level_continues_from_the_kept_level(n, x, L):
         level = _prefix_level(n, x, n, by_ones, kept, 0)
         assert level == [{w: factor * k for w, k in part.items()} for part in fresh]
         assert kept == []
+
+
+# Exact whole histograms from classical formulas that no route uses, checked
+# on the walk past the default budget and on the join at n = 20.
+
+
+def _inversion_histograms(n):
+    """Histograms of x = 01 (and 10) at length n, from Gaussian binomials.
+
+    w_01(y) counts the pairs i < j with y_i = 0 and y_j = 1, so over the y
+    with k ones sum_y q^w(y) is [n choose k]_q (MacMahon), built here by
+    q-Pascal: [i, k] = [i - 1, k - 1] + q^k [i - 1, k].  Its q^0 term is the
+    one y that does not contain 01, and y with k ones is cluster k - 1.
+    w_10 counts the pairs with y_i = 1 and y_j = 0: the same histograms.
+    """
+    row = [[1]]
+    for i in range(1, n + 1):
+        inner = [
+            [a + b for a, b in zip_longest(row[k - 1], [0] * k + row[k], fillvalue=0)]
+            for k in range(1, i)
+        ]
+        row = [[1], *inner, [1]]
+    clusters = {k - 1: {w: c for w, c in enumerate(row[k]) if w} for k in range(1, n)}
+    return _summed(clusters), clusters
+
+
+def _constant_histograms(n, m):
+    """Histograms of x = 0^m at length n: the C(n, c) strings with c ones
+    (cluster c) hold C(n - c, m) embeddings each."""
+    clusters = {c: {comb(n - c, m): comb(n, c)} for c in range(n - m + 1)}
+    return _summed(clusters), clusters
+
+
+def _summed(clusters):
+    return dict(sum(map(Counter, clusters.values()), Counter()))
+
+
+@pytest.mark.parametrize("n", [40, 60])
+@pytest.mark.parametrize("x", ["01", "10"])
+def test_walk_equals_the_gaussian_binomials(x, n):
+    counts, clusters = _inversion_histograms(n)
+    for by_cluster in (False, True):
+        d = weight_distribution(n, x, by_cluster, budget=n)
+        assert d.counts == counts and d.by_cluster == (clusters if by_cluster else None)
+
+
+@pytest.mark.parametrize("n, m", [(100, m) for m in range(5)] + [(19, 7), (28, 6), (60, 8)])
+def test_a_one_run_x_walks_and_equals_the_binomials(monkeypatch, n, m):
+    # a one-run x's band at depth L is a function of the prefix's zero count,
+    # so it walks even where the rule would join: at n < 100 here
+    assert _split_half_pays(n, m) == (n < 100)
+    monkeypatch.setattr(space, "_split_half_level", None)  # a join would raise TypeError
+    counts, clusters = _constant_histograms(n, m)
+    for by_cluster in (False, True):
+        d = weight_distribution(n, "0" * m, by_cluster, budget=n)
+        assert d.counts == counts and d.by_cluster == (clusters if by_cluster else None)
+    assert weight_distribution(n, "1" * m, budget=n).counts == counts
+
+
+@pytest.mark.parametrize("x", ["01", "10", "", "0", "00", "000", "0000"])
+def test_split_half_level_equals_the_classical_histograms(x):
+    # at n = 20 the join is exact and affordable for these x, which walk in
+    # weight_distribution
+    n = 20
+    counts, clusters = (
+        _inversion_histograms(n) if "1" in x else _constant_histograms(n, len(x))
+    )
+    for by_ones in (False, True):
+        assert _split_half_level(n, x, by_ones) == _as_level(n, x, counts, clusters, by_ones)
+
+
+@pytest.mark.parametrize(
+    "x",
+    ["01" * 100, "".join(random.Random(2018).choices("01", k=200))],
+    ids=["alternating", "seeded"],
+)
+def test_walk_equals_the_d_le_2_closed_forms_at_m_200(x):
+    # by cluster, each cluster's string count and mask mass is checked on construction
+    for n, predict in ((201, predicted_weights_single), (202, predicted_weights_double)):
+        want = predict(x).counts
+        for by_cluster in (False, True):
+            assert weight_distribution(n, x, by_cluster, budget=n).counts == want
 
 
 def test_enumerate_supersequences_budget():

@@ -2,15 +2,9 @@
 assignment refused on the frozen ones."""
 import pytest
 
-from delkit import (
-    BlockMap,
-    EntropyReport,
-    OracleBudget,
-    OracleSpace,
-    Rle,
-    RunSlots,
-    WeightDistribution,
-)
+from delkit import BlockMap, OracleBudget, Rle, RunSlots, WeightDistribution
+
+from oracle_scan import EntropyReport, OracleSpace
 
 
 def check_frozen(value, field):
@@ -70,11 +64,11 @@ def test_weight_distribution():
 
 def test_oracle_budget():
     b = OracleBudget()
-    assert b == OracleBudget(max_n=24, max_scan_n=14, max_subsets=2_000_000)
-    assert b != OracleBudget(max_scan_n=8) and b != (24, 14, 2_000_000)
+    assert b == OracleBudget(max_n=24, max_subsets=2_000_000)
+    assert b != OracleBudget(max_subsets=8) and b != (24, 2_000_000)
     assert hash(b) == hash(OracleBudget())
-    assert repr(b) == "OracleBudget(max_n=24, max_scan_n=14, max_subsets=2000000)"
-    assert repr(OracleBudget(10)) == "OracleBudget(max_n=10, max_scan_n=14, max_subsets=2000000)"
+    assert repr(b) == "OracleBudget(max_n=24, max_subsets=2000000)"
+    assert repr(OracleBudget(10)) == "OracleBudget(max_n=10, max_subsets=2000000)"
     check_frozen(b, "max_n")
 
 
