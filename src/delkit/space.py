@@ -10,13 +10,13 @@ The weight histogram over the compatible set is read from the level at
 depth n of one walk, _prefix_level, which merges y prefixes that share their
 live prefix counts of x and can resume from levels kept by an earlier call.
 Two routes produce that level: the walk itself, run to depth n, and
-_split_half_level, which runs it from the root to halfway on x and on
-reversed x and joins the two halves.  _weight_histograms, the one entry to
-both, checks each x, walks an x of at most one run, lets _split_half_pays
-pick the route for the rest once per |x|, and alone turns the level into the
-sorted histogram and its clusters.  The walk's level at depth L <= |x|
-depends only on x[:L], so each walk resumes from the level the walk before
-it kept at their common prefix.
+_split_half_level, which joins its level at depth n // 2 with reversed x's
+at depth n - n // 2.  _weight_histograms, the one entry to both, checks each
+x, walks it to depth n // 2 where the step counts of _split_half_pays admit
+the join, joins only if that level holds fewer than 4 live prefixes per
+state, and alone turns the level into the sorted histogram and clusters.
+The walk's level at depth L <= |x| depends only on x[:L], so each walk
+resumes from the level the walk before it kept at their common prefix.
 """
 from __future__ import annotations
 
@@ -40,6 +40,8 @@ def upsilon_size(n: int, m: int) -> int:
     """Number of length-n supersequences of any fixed x with |x| = m."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+    if 2 * m <= n:  # the shorter tail
+        return (1 << n) - sum(comb(n, r) for r in range(m))
     return sum(comb(n, r) for r in range(m, n + 1))
 
 
@@ -89,7 +91,7 @@ def enumerate_supersequences(
 
 
 def _split_half_pays(n: int, m: int) -> bool:
-    """Whether _split_half_level should replace the walk at (n, m).
+    """Whether _split_half_level may replace the walk at (n, m): a pre-filter.
 
     Compares closed forms of each route's Python-level steps: 2^L (R + 2) + 2^R
     (L = n // 2, R = n - L) bounds the split-half route's halves, which hold
@@ -98,21 +100,13 @@ def _split_half_pays(n: int, m: int) -> bool:
     64-bit slots.  The walk's states have since got cheaper: at (19, 7), in
     16-bit slots, a joined pair costs about a sixth of a walk state, halves
     included, so the charge now understates the join until it is re-fitted.
-    The walk is charged the smaller of two bounds on its merged states:
-    upsilon(n, m), and (n + 1)^2 prod_{j <= m} (C(n, j) + 1), since on each of
-    its n + 1 levels and in each of at most n + 1 popcount groups a live slot
-    j takes at most C(n, j) + 1 values.  The second bound, evaluated only once
-    the first has chosen the join, decides short x, where the first is off by
-    orders of magnitude.  The join is exact only while C(n, m) < 2^64.
+    The walk is charged upsilon(n, m), orders of magnitude above its merged
+    states where x's prefixes merge heavily, so _weight_histograms decides on
+    the walk's level at depth L.  The join is exact only while C(n, m) < 2^64.
     """
     left, right = n // 2, n - n // 2
     steps = (1 << left) * (right + 2) + (1 << right) + (1 << n) // 11
-    if comb(n, m) >= 1 << 64 or steps >= upsilon_size(n, m):
-        return False
-    states = (n + 1) ** 2
-    for j in range(m + 1):
-        states *= comb(n, j) + 1
-    return steps < states
+    return comb(n, m) < 1 << 64 and steps < upsilon_size(n, m)
 
 
 def _prefix_level(n: int, x: str, depth: int, by_ones: bool, kept: list, keep: int) -> list:
@@ -124,14 +118,15 @@ def _prefix_level(n: int, x: str, depth: int, by_ones: bool, kept: list, keep: i
     w_{x[:j]}(u) sits in slot j - (L - d).  Prefixes that share a band are one
     state, {band: number of prefixes}, one dict per popcount of u with by_ones.
     A band of 0 cannot complete and is dropped; at depth n the band is the weight.
-    The walk resumes from kept[-1], the level at depth len(kept) (the root if
-    kept is empty); on return kept[L - 1] is the level at depth L for L <= keep.
+    The walk resumes from the kept level at depth min(depth, len(kept)) (the root
+    at 0); on return kept[L - 1] is the level at depth L for L <= keep.
     """
     m = len(x)
     d, width = n - m, comb(n, m).bit_length()
     full, step = (1 << width) - 1, 1 if by_ones else 0
-    levels = kept[-1] if kept else [{1 << d * width: 1}]
-    for i in range(len(kept), depth):
+    start = min(depth, len(kept))
+    levels = kept[start - 1] if start else [{1 << d * width: 1}]
+    for i in range(start, depth):
         # appending bit b adds w_{x[:j]} into w_{x[:j+1]} wherever x[j] == b,
         # and j + 1 lands in slot j - (i - d) once the band shifts down one
         zero = one = 0
@@ -157,21 +152,22 @@ def _prefix_level(n: int, x: str, depth: int, by_ones: bool, kept: list, keep: i
     return levels
 
 
-def _split_half_level(n: int, x: str, by_ones: bool) -> list:
+def _split_half_level(n: int, x: str, by_ones: bool, half: list) -> list:
     """_prefix_level(n, x, n, by_ones, [], 0), joined from two half levels.
 
     Every embedding of x in y = uv splits at exactly one j, so
     w_x(uv) = sum_j w_{x[:j]}(u) w_{x[j:]}(v) over max(0, m - R) <= j <= min(m, L)
     with |u| = L = n // 2 and |v| = R = n - L.  The halves are prefix levels:
-    x's at depth L, where w_{x[:j]}(u) sits in slot j - (m - R), and reversed
-    x's at depth R, where w_{x[j:]}(v) sits in slot L - j; halves that cannot
-    complete are dropped.  The suffix counts of every live v, grouped by
-    popcount, are packed per j into one integer with a slot per v of the
-    narrowest of 8, 16, 32 or 64 bits that holds C(n, m), which bounds every
-    partial sum, so the weights of every uv for one class of u are a few
-    big-integer multiply-adds, exact while C(n, m) < 2^64.  Each row is read
-    in place and tallied under popcount h(u) + h(v), one popcount block of v
-    at a time, and zero weights (non-members) are dropped.
+    half, x's level at depth L, which the caller has walked already and where
+    w_{x[:j]}(u) sits in slot j - (m - R), and reversed x's at depth R, where
+    w_{x[j:]}(v) sits in slot L - j; halves that cannot complete are dropped.
+    The suffix counts of every live v, grouped by popcount, are packed per j
+    into one integer with a slot per v of the narrowest of 8, 16, 32 or 64
+    bits that holds C(n, m), which bounds every partial sum, so the weights of
+    every uv for one class of u are a few big-integer multiply-adds, exact
+    while C(n, m) < 2^64.  Each row is read in place and tallied under
+    popcount h(u) + h(v), one popcount block of v at a time, and zero weights
+    (non-members) are dropped.
     """
     m = len(x)
     width = comb(n, m).bit_length()
@@ -196,7 +192,7 @@ def _split_half_level(n: int, x: str, by_ones: bool) -> list:
     nbytes, bounds = slots.size, list(zip(blocks, blocks[1:]))
     # one tally per popcount of uv, or a single one
     parts = [Counter() for _ in range(n + 1 if by_ones else 1)]
-    for ones, states in enumerate(_prefix_level(n, x, left, by_ones, [], 0)):
+    for ones, states in enumerate(half):
         spans = [(parts[ones + hv].update, start, stop) for hv, (start, stop) in enumerate(bounds)]
         for band, k in states.items():
             row = 0
@@ -222,8 +218,10 @@ def _weight_histograms(
     Refuses a non-bit x, an n over the budget, n < 0 and |x| > n, in that
     order, before any work on that x; the routes trust these checks.  Either
     route yields the level at depth n, one {weight: count} per popcount of y
-    with by_cluster; cluster c is popcount c + h(x).  Each walk keeps the
-    levels of its common prefix with the next x, longest in sorted xs.
+    with by_cluster; cluster c is popcount c + h(x).  Where _split_half_pays
+    admits the join, x's walk to depth n // 2 joins there if that level holds
+    fewer than 4 live prefixes per state, and goes on to depth n otherwise.
+    Each walk keeps the levels of its common prefix with the next x.
     """
     xs, pays, kept = list(xs), cache(_split_half_pays), []
     for x, after in zip(xs, xs[1:] + [""]):
@@ -234,14 +232,14 @@ def _weight_histograms(
             raise ValueError(f"need n >= 0, got {n}")
         if m > n:
             raise ValueError(f"need 0 <= |x| <= n, got |x|={m}, n={n}")
-        # a one-run x walks: its band at depth L is a function of the prefix's
-        # zero count, so each level holds at most L + 1 states
-        if x.strip(x[:1]) and pays(n, m):
-            level = _split_half_level(n, x, by_cluster)
-            kept.clear()  # the next walk must not resume from the last walked x's levels
+        same = isinstance(after, str) and len(after) == m
+        keep = next((j for j in range(m) if x[j] != after[j]), m) if same else 0
+        # keep = n cuts nothing, so a walk on resumes at the deepest kept level
+        half = _prefix_level(n, x, n // 2, by_cluster, kept, n) if pays(n, m) else None
+        if half and 4 * sum(map(len, half)) > sum(sum(part.values()) for part in half):
+            level = _split_half_level(n, x, by_cluster, half)
+            del kept[keep:]
         else:
-            same = isinstance(after, str) and len(after) == m
-            keep = next((j for j in range(m) if x[j] != after[j]), m) if same else 0
             level = _prefix_level(n, x, n, by_cluster, kept, keep)
         counts: dict[int, int] = {}
         for part in level:

@@ -73,7 +73,8 @@ def test_weight_distribution_takes_the_route_the_rule_picks(monkeypatch):
     monkeypatch.setattr(space, "_split_half_level", spy)
     d = weight_distribution(19, "0110101", by_cluster=True)
     assert d.total_strings == upsilon_size(19, 7) == 480_492
-    assert joins == [(19, "0110101", True)]
+    assert [args[:3] for args in joins] == [(19, "0110101", True)]
+    assert joins[0][3] == _prefix_level(19, "0110101", 19 // 2, True, [], 0)
     assert weight_distribution(13, "01101010110", by_cluster=True).total_strings == 92
     assert len(joins) == 1
 

@@ -62,6 +62,13 @@ def test_upsilon_golden():
         upsilon_size(3, 4)
 
 
+def test_upsilon_size_equals_the_long_sum():
+    # it sums the shorter tail of row n of Pascal's triangle
+    for n in range(65):
+        for m in range(n + 1):
+            assert upsilon_size(n, m) == sum(comb(n, r) for r in range(m, n + 1)), (n, m)
+
+
 def test_enumerate_supersequences_golden():
     rows = list(enumerate_supersequences(5, "110"))
     assert len(rows) == 16
@@ -113,7 +120,8 @@ def test_split_half_histogram_equals_walk_and_oracle_exhaustive():
                 counts, clusters = _oracle_histograms(n, x, ones)
                 for by_ones in (False, True):
                     level = _prefix_level(n, x, n, by_ones, [], 0)
-                    assert _split_half_level(n, x, by_ones) == level, (n, x, by_ones)
+                    half = _prefix_level(n, x, n // 2, by_ones, [], 0)
+                    assert _split_half_level(n, x, by_ones, half) == level, (n, x, by_ones)
                     assert level == _as_level(n, x, counts, clusters, by_ones), (n, x, by_ones)
 
 
@@ -153,7 +161,8 @@ def test_split_half_histogram_equals_walk_and_oracle_exhaustive():
 def test_split_half_histogram_edges(n, x, counts, clusters):
     # frozen from the walk
     for by_ones in (False, True):
-        assert _split_half_level(n, x, by_ones) == _as_level(n, x, counts, clusters, by_ones)
+        half = _prefix_level(n, x, n // 2, by_ones, [], 0)
+        assert _split_half_level(n, x, by_ones, half) == _as_level(n, x, counts, clusters, by_ones)
 
 
 def _flat_level(level):
@@ -223,7 +232,8 @@ def test_split_half_histogram_with_merged_and_dead_halves(n, x):
     counts, clusters = _oracle_histograms_np(n, x)
     for by_ones in (False, True):
         level = _as_level(n, x, counts, clusters, by_ones)
-        assert _split_half_level(n, x, by_ones) == level
+        half = _prefix_level(n, x, left, by_ones, [], 0)
+        assert _split_half_level(n, x, by_ones, half) == level
         assert _prefix_level(n, x, n, by_ones, [], 0) == level
 
 
@@ -237,7 +247,8 @@ def test_split_half_level_equals_the_walk_in_wide_slots(x, slot_bits):
     # A constant x reaches the bound: y = 0^19 embeds 0^m C(19, m) times
     assert slot_bits // 2 < comb(19, len(x)).bit_length() <= slot_bits
     for by_ones in (False, True):
-        assert _split_half_level(19, x, by_ones) == _prefix_level(19, x, 19, by_ones, [], 0)
+        half = _prefix_level(19, x, 19 // 2, by_ones, [], 0)
+        assert _split_half_level(19, x, by_ones, half) == _prefix_level(19, x, 19, by_ones, [], 0)
 
 
 def test_split_half_route_rule():
@@ -254,26 +265,97 @@ def test_split_half_guard_keeps_slots_exact():
     assert comb(70, 35) >= 1 << 64 and (1 << 35) * 38 + (1 << 70) // 11 < upsilon_size(70, 35)
     assert not _split_half_pays(70, 35)
     with pytest.raises(ValueError, match="64-bit slot"):
-        _split_half_level(70, "01" * 17 + "0", False)
+        _split_half_level(70, "01" * 17 + "0", False, [])
 
 
-@pytest.mark.parametrize("n, m", [(24, 0), (44, 1), (100, 0), (60, 2)])
-def test_split_half_rule_walks_short_x(n, m):
+def _histograms(level, x, by_cluster):
+    """What _weight_histograms yields for the level at depth n."""
+    counts = sum(map(Counter, level), Counter())
+    clusters = {i - x.count("1"): dict(p) for i, p in enumerate(level) if p}
+    return dict(counts), clusters if by_cluster else None
+
+
+@pytest.mark.parametrize("n, m", [(24, 0), (44, 1), (100, 0), (60, 2), (20, 1), (30, 2)])
+def test_split_half_rule_walks_short_x(monkeypatch, n, m):
     # upsilon(n, m) overstates the walk's merged states by orders of magnitude
-    # here; the bound (n + 1)^2 prod_{j <= m} (C(n, j) + 1) keeps it walking
-    assert not _split_half_pays(n, m)
+    # here, so the step counts admit the join; the walk's level at depth n // 2
+    # holds far more than 4 live prefixes per state, and the walk answers
+    x = ("", "1", "01")[m]
+    assert _split_half_pays(n, m)
+    monkeypatch.setattr(space, "_split_half_level", None)  # a join would raise TypeError
+    for by_cluster in (False, True):
+        got = next(_weight_histograms(n, [x], by_cluster, n))
+        assert got == _histograms(_prefix_level(n, x, n, by_cluster, [], 0), x, by_cluster)
 
 
 @pytest.mark.parametrize(
     "n, m, joins",
-    [(14, 10, False), (15, 11, False), (24, 16, False), (20, 1, False), (30, 2, False)]
+    [(14, 10, False), (15, 11, False), (24, 16, False)]
     + [(19, 7, True), (20, 7, True), (24, 11, True), (24, 12, True)],
 )
 def test_split_half_rule_counts_the_join_tally(n, m, joins):
     # the join tallies up to 2^n live (u, v) pairs at about a tenth of a walk
-    # state's cost each; counted, they send the first five shapes to the walk,
-    # which answers them faster, and leave the last four on the faster join
+    # state's cost each; counted, they send the first three shapes to the
+    # walk, which answers them faster, and admit the last four to the join
     assert _split_half_pays(n, m) == joins
+
+
+@pytest.mark.parametrize(
+    "n, x, states, prefixes, joins",
+    [
+        (14, "00001", 19, 128, False),
+        (20, "10", 176, 1024, False),
+        (22, "110", 384, 2048, False),
+        (16, "11110", 35, 256, False),
+        (20, "00010", 258, 1024, True),  # 3.97 prefixes per state
+        (20, "0010", 511, 1024, True),
+        (19, "0110101", 512, 512, True),
+    ],
+)
+def test_the_half_level_picks_the_route_at_its_boundary(monkeypatch, n, x, states, prefixes, joins):
+    # the join runs only if the walk's level at depth n // 2 holds fewer than
+    # 4 live prefixes per state, and then takes that level as its left half
+    assert _split_half_pays(n, len(x))
+    joined, join = [], space._split_half_level
+
+    def spy(*args):
+        joined.append(args)
+        return join(*args)
+
+    monkeypatch.setattr(space, "_split_half_level", spy)
+    for by_cluster in (False, True):
+        half = _prefix_level(n, x, n // 2, by_cluster, [], 0)
+        assert (sum(map(len, half)), sum(sum(p.values()) for p in half)) == (states, prefixes)
+        walk = _prefix_level(n, x, n, by_cluster, [], 0)
+        assert next(_weight_histograms(n, [x], by_cluster)) == _histograms(walk, x, by_cluster)
+        assert [args[:3] for args in joined] == ([(n, x, by_cluster)] if joins else [])
+        if joins:
+            assert joined.pop()[3] == half
+        if n <= 20:  # both routes agree on either side of the boundary
+            assert join(n, x, by_cluster, half) == walk
+
+
+@pytest.mark.parametrize("n, m, walks", [(14, 5, 4), (11, 7, 16)])
+def test_a_batch_of_walks_and_joins_equals_each_walk_alone_in_any_order(monkeypatch, n, m, walks):
+    # at (14, 5) the x 00000, 00001, 11110 and 11111 walk and the other 28
+    # join; at (11, 7) 16 of 128 walk, and a sorted walk keeps levels past the
+    # join's depth 5.  A join keeps only the levels of its common prefix with
+    # the next x, so every histogram must be x's own
+    xs = list(all_bits(m))
+    joined, join = set(), space._split_half_level
+
+    def spy(*args):
+        joined.add(args[1])
+        return join(*args)
+
+    monkeypatch.setattr(space, "_split_half_level", spy)
+    shuffled = random.Random(2018).sample(xs, len(xs))
+    for by_cluster in (False, True):
+        want = {x: _histograms(_prefix_level(n, x, n, by_cluster, [], 0), x, by_cluster) for x in xs}
+        for order in (sorted(xs), sorted(xs, reverse=True), shuffled):
+            got = list(_weight_histograms(n, order, by_cluster))
+            assert got == [want[x] for x in order], (n, by_cluster)
+        assert len(joined) == len(xs) - walks
 
 
 @pytest.mark.parametrize("by_cluster", [False, True])
@@ -345,8 +427,10 @@ def test_shared_walk_equals_each_walk_alone_in_any_order():
 
 
 def test_a_joined_x_leaves_no_kept_levels_to_the_next_walk():
-    # 0000 walks and keeps its levels to depth 3 for 0001, which joins
-    # instead; 1111 must then walk from the root, not from 0000's level
+    # all three x join at n = 8, each on its own walk's level at depth 4:
+    # 0001 resumes at depth 3 from 0000's, and 1111 walks from the root.
+    # test_a_batch_of_walks_and_joins_equals_each_walk_alone_in_any_order
+    # runs walks after joins
     n, xs = 8, ["0000", "0001", "1111"]
     assert _split_half_pays(n, 4)
     for by_cluster in (False, True):
@@ -374,6 +458,20 @@ def test_prefix_level_continues_from_the_kept_level(n, x, L):
         level = _prefix_level(n, x, n, by_ones, kept, 0)
         assert level == [{w: factor * k for w, k in part.items()} for part in fresh]
         assert kept == []
+
+
+def test_prefix_level_reads_a_kept_level_past_its_depth():
+    # a walk to depth L over more kept levels answers with the kept level at
+    # depth L, builds nothing and cuts kept to keep levels
+    n, x = 13, "01101001110"
+    for by_ones in (False, True):
+        kept = []
+        _prefix_level(n, x, 8, by_ones, kept, 8)
+        levels = list(kept)
+        assert _prefix_level(n, x, 5, by_ones, kept, n) is levels[4]
+        assert kept == levels
+        assert _prefix_level(n, x, 5, by_ones, kept, 3) == _prefix_level(n, x, 5, by_ones, [], 0)
+        assert kept == levels[:3]
 
 
 # Exact whole histograms from classical formulas that no route uses, checked
@@ -423,8 +521,9 @@ def test_walk_equals_the_gaussian_binomials(x, n):
 @pytest.mark.parametrize("n, m", [(100, m) for m in range(5)] + [(19, 7), (28, 6), (60, 8)])
 def test_a_one_run_x_walks_and_equals_the_binomials(monkeypatch, n, m):
     # a one-run x's band at depth L is a function of the prefix's zero count,
-    # so it walks even where the rule would join: at n < 100 here
-    assert _split_half_pays(n, m) == (n < 100)
+    # so its level at depth n // 2 holds at most n // 2 + 1 states, and it
+    # walks although the step counts admit the join
+    assert _split_half_pays(n, m)
     monkeypatch.setattr(space, "_split_half_level", None)  # a join would raise TypeError
     counts, clusters = _constant_histograms(n, m)
     for by_cluster in (False, True):
@@ -442,7 +541,8 @@ def test_split_half_level_equals_the_classical_histograms(x):
         _inversion_histograms(n) if "1" in x else _constant_histograms(n, len(x))
     )
     for by_ones in (False, True):
-        assert _split_half_level(n, x, by_ones) == _as_level(n, x, counts, clusters, by_ones)
+        half = _prefix_level(n, x, n // 2, by_ones, [], 0)
+        assert _split_half_level(n, x, by_ones, half) == _as_level(n, x, counts, clusters, by_ones)
 
 
 @pytest.mark.parametrize(
