@@ -4,10 +4,12 @@ An embedding of x in y is a strictly increasing choice of |x| positions of y
 whose projection spells x; the number of embeddings is the weight of y as a
 supersequence of x.  Three independent routes compute it:
 
-* a dynamic program over prefix pairs, restricted at each symbol of y to the
-  prefixes of x that are already reached and can still complete, which lie
-  between x's greedy leftmost and rightmost embeddings in y (the workhorse;
-  it uses no run lengths),
+* a dynamic program over prefix pairs (the workhorse; it uses no run
+  lengths), which on short pairs packs every prefix count of x into one int
+  and adds them all at once per symbol of y, and on long ones updates at
+  each symbol of y only the prefixes of x that are already reached and can
+  still complete, which lie between x's greedy leftmost and rightmost
+  embeddings in y,
 * explicit enumeration of the position masks themselves,
 * a run-length route that groups masks by which run of y hosts the last
   symbol of each run of x.
@@ -57,11 +59,57 @@ __all__ = [
 ]
 
 
+# The packed kernel answers where its table, (|x| + 1) slots of W bits, fits
+# in this many bits; fitted against the banded kernel on a grid of (|y|, |x|)
+PACKED_BITS = 3072
+
+
 def count_embeddings_dp(y: str, x: str) -> int:
     """Number of embeddings of x in y, by dynamic programming.
 
-    One pass over y with a rolling table indexed by prefixes of x, updated
-    only on the band of prefixes that can still be both reached and
+    One pass over y with the counts w_{x[:j]} in its scanned prefix, packed
+    by _count_packed where their (|x| + 1) slots of W bits fit PACKED_BITS,
+    W = C(|y|, min(|x|, |y| // 2)).bit_length(), and banded by _count_banded
+    elsewhere.  |y|.bit_length() <= W, so (|x| + 1) * |y|.bit_length() rules
+    long pairs out before their binomial.  Neither kernel uses run lengths;
+    the binomial only sizes the slots.
+    """
+    validate_bits(y)
+    validate_bits(x)
+    m, n = len(x), len(y)
+    if m == 0:
+        return 1
+    if m > n:
+        return 0
+    if (m + 1) * n.bit_length() <= PACKED_BITS:
+        width = comb(n, min(m, n // 2)).bit_length()
+        if (m + 1) * width <= PACKED_BITS:
+            return _count_packed(y, x, width)
+    return _count_banded(y, x)
+
+
+def _count_packed(y: str, x: str, width: int) -> int:
+    """The dp's table in one int: slot j, bits [j * width, (j + 1) * width),
+    holds w_{x[:j]} in the scanned prefix of y.  Symbol c adds slot j into
+    slot j + 1 wherever x[j] == c, all at once, as one shift, mask and add.
+    After i symbols slot j holds at most C(i, j) <= C(|y|, min(|x|, |y| // 2)),
+    which width bits hold, so no slot carries into the next.  |y| operations
+    on ints of (|x| + 1) * width bits.
+    """
+    full, one = (1 << width) - 1, 0
+    for j, c in enumerate(x, 1):
+        if c == "1":
+            one |= full << j * width
+    zero = (1 << (len(x) + 1) * width) - 1 - full - one  # slots 1 to |x| that one leaves
+    counts = 1
+    for c in y:
+        counts += counts << width & (one if c == "1" else zero)
+    return counts >> len(x) * width
+
+
+def _count_banded(y: str, x: str) -> int:
+    """count_embeddings_dp on a table indexed by prefixes of x, updated only
+    on the band of prefixes that can still be both reached and
     completed: y[i] updates prefix j only while x[:j] embeds in y[:i + 1]
     and x[j:] embeds in y[i + 1:].  The first bound moves with the greedy
     leftmost embedding of x, found inside the pass; the second is the
@@ -72,15 +120,9 @@ def count_embeddings_dp(y: str, x: str) -> int:
     bounds are at least as tight as the length bounds, so the band is never
     wider than d + 1 = |y| - |x| + 1, and on y whose runs x keeps it is about
     one run wide.  O(|y| + sum of the band widths) exact int additions, O(|x|)
-    space.
+    space.  Trusts its caller for valid bits and 0 < |x| <= |y|.
     """
-    validate_bits(y)
-    validate_bits(x)
     m = len(x)
-    if m == 0:
-        return 1
-    if m > len(y):
-        return 0
     # last[j] = position of x[j] in the rightmost embedding of x in y.  Prefix
     # j leaves the band at y[last[j]], after which x[j:] no longer fits; its
     # count is still read once, at that same symbol (no x[j] lies between

@@ -109,7 +109,9 @@ def _split_half_pays(n: int, m: int) -> bool:
     return comb(n, m) < 1 << 64 and steps < upsilon_size(n, m)
 
 
-def _prefix_level(n: int, x: str, depth: int, by_ones: bool, kept: list, keep: int) -> list:
+def _prefix_level(
+    n: int, x: str, depth: int, by_ones: bool, kept: list, keep: int, half: list | None = None
+) -> list:
     """Classes of the length-`depth` prefixes u of x's length-n supersequences.
 
     u reaches its completions only through its live band, w_{x[:j]}(u) for
@@ -119,13 +121,18 @@ def _prefix_level(n: int, x: str, depth: int, by_ones: bool, kept: list, keep: i
     state, {band: number of prefixes}, one dict per popcount of u with by_ones.
     A band of 0 cannot complete and is dropped; at depth n the band is the weight.
     The walk resumes from the kept level at depth min(depth, len(kept)) (the root
-    at 0); on return kept[L - 1] is the level at depth L for L <= keep.
+    at 0), or from half, x's level at depth n // 2, where that is deeper; on
+    return kept[L - 1] is the level at depth L for L <= keep.  A walk that
+    resumes from half appends nothing, as its caller has kept min(keep, n // 2)
+    levels already.
     """
     m = len(x)
     d, width = n - m, comb(n, m).bit_length()
     full, step = (1 << width) - 1, 1 if by_ones else 0
     start = min(depth, len(kept))
     levels = kept[start - 1] if start else [{1 << d * width: 1}]
+    if half is not None and start < n // 2:
+        start, levels = n // 2, half
     for i in range(start, depth):
         # appending bit b adds w_{x[:j]} into w_{x[:j+1]} wherever x[j] == b,
         # and j + 1 lands in slot j - (i - d) once the band shifts down one
@@ -234,13 +241,11 @@ def _weight_histograms(
             raise ValueError(f"need 0 <= |x| <= n, got |x|={m}, n={n}")
         same = isinstance(after, str) and len(after) == m
         keep = next((j for j in range(m) if x[j] != after[j]), m) if same else 0
-        # keep = n cuts nothing, so a walk on resumes at the deepest kept level
-        half = _prefix_level(n, x, n // 2, by_cluster, kept, n) if pays(n, m) else None
+        half = _prefix_level(n, x, n // 2, by_cluster, kept, keep) if pays(n, m) else None
         if half and 4 * sum(map(len, half)) > sum(sum(part.values()) for part in half):
             level = _split_half_level(n, x, by_cluster, half)
-            del kept[keep:]
         else:
-            level = _prefix_level(n, x, n, by_cluster, kept, keep)
+            level = _prefix_level(n, x, n, by_cluster, kept, keep, half)
         counts: dict[int, int] = {}
         for part in level:
             for w, k in part.items():

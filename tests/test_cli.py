@@ -330,17 +330,18 @@ def test_short_x_with_a_raised_budget_walks(capsys):
     assert rows == [[str(c), "1", str(math.comb(100, c))] for c in range(101)]
 
 
-# the CLI in a child capped at 1 GB of address space and 30 s of CPU
+# the CLI in a child capped at the given bytes of address space and 30 s of CPU
 CAPPED = """\
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+memory = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
 resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
 from delkit.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
 
-def run_capped(*argv):
+def run_capped(*argv, memory=1 << 30):
     """The capped child's exit code, stdout, stderr and CPU seconds."""
     import resource
 
@@ -350,7 +351,10 @@ def run_capped(*argv):
 
     start = cpu()
     proc = subprocess.run(
-        [sys.executable, "-c", CAPPED, *argv], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", CAPPED, str(memory), *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr, cpu() - start
 
@@ -377,6 +381,17 @@ def test_running_out_of_memory_exits_2_in_one_line():
     )
     assert code == 2 and out == "", (code, err)
     assert err == "error: distribution ran out of memory\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps memory on Linux")
+def test_a_long_sweep_holds_only_the_levels_the_next_x_resumes_from():
+    # x = "0" walks to depth n // 2 = 550 before the route is picked; keeping
+    # all 550 levels of that walk (up to 551 states each, every band an int of
+    # up to 12,100 bits) took about 195 MB, where the walk on needs only the last
+    argv = ["sweep", "--m", "1", "--n", "1100", "--budget", "1100", "--alpha", "0.5", "2", "3"]
+    code, out, err, _ = run_capped(*argv, "--format", "json", memory=128 << 20)
+    assert code == 0 and err == "", (code, err)
+    assert [row["x"] for row in json.loads(out)["rows"]] == ["0", "1"]
 
 
 def test_sweep_point_mass_entropies_are_positive_zero(capsys):

@@ -1,14 +1,19 @@
 import random
 from itertools import compress, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delkit import embed
 from delkit.core import Rle, complement
 from delkit.embed import (
+    PACKED_BITS,
     BlockMap,
     _aligned_run_lengths,
+    _count_banded,
+    _count_packed,
     _image_bounds,
     block_map_weights,
     count_embeddings_dp,
@@ -81,9 +86,24 @@ def subset_tally(y):
     return tally
 
 
-def test_dp_equals_oracle_exhaustive():
-    # every y with |y| <= 9 against every x with |x| <= |y| + 1: covers no
-    # deletions (d = 0), the empty x and x longer than y
+def slot_bits(y, x):
+    """The packed kernel's slot width for (y, x)."""
+    return comb(len(y), min(len(x), len(y) // 2)).bit_length()
+
+
+# the dp's two kernels, called directly on 0 < |x| <= |y|
+KERNELS = {
+    "packed": lambda y, x: _count_packed(y, x, slot_bits(y, x)),
+    "banded": _count_banded,
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_dp_equals_oracle_exhaustive(kernel):
+    # every y with |y| <= 9 against every x with |x| <= |y| + 1, through each
+    # kernel: covers no deletions (d = 0); the empty x and x longer than y
+    # are answered before either kernel runs
+    count = KERNELS[kernel]
     for n in range(0, 10):
         for y in all_bits(n):
             tally = subset_tally(y)
@@ -91,7 +111,93 @@ def test_dp_equals_oracle_exhaustive():
                 assert tally == {x: oracle_count(y, x) for x in tally}
             for m in range(0, n + 2):
                 for x in all_bits(m):
-                    assert count_embeddings_dp(y, x) == tally.get(x, 0), (y, x)
+                    want = tally.get(x, 0)
+                    assert count_embeddings_dp(y, x) == want, (y, x)
+                    if 0 < m <= n:
+                        assert count(y, x) == want, (y, x)
+
+
+def test_packed_slots_hold_the_widest_prefix_count():
+    # in y = 0^40 the prefix 0^20 of x = 0^30 reaches C(40, 20) > C(40, 30),
+    # so slots sized by C(|y|, |x|) carry into the next one
+    y, x = "0" * 40, "0" * 30
+    assert count_embeddings_dp(y, x) == comb(40, 30)
+    assert _count_packed(y, x, slot_bits(y, x)) == comb(40, 30)
+    assert comb(40, 30).bit_length() < slot_bits(y, x)
+    assert _count_packed(y, x, comb(40, 30).bit_length()) != comb(40, 30)
+
+
+def spy_kernels(monkeypatch):
+    """The kernel names count_embeddings_dp calls, in order."""
+    ran = []
+    for name in ("_count_packed", "_count_banded"):
+        kernel = getattr(embed, name)
+        monkeypatch.setattr(
+            embed, name, lambda *args, _k=kernel, _n=name: ran.append(_n) or _k(*args)
+        )
+    return ran
+
+
+def packed_reach(k):
+    """The longest x = 0^j in y = 0^k that the packed kernel takes."""
+    return max(j for j in range(1, k + 1) if (j + 1) * slot_bits("0" * k, "0" * j) <= PACKED_BITS)
+
+
+@pytest.mark.parametrize("k", [64, 80, 128, 200])
+def test_one_run_pairs_on_both_sides_of_the_cap(monkeypatch, k):
+    # w_{0^j}(0^k) = C(k, j); j = packed_reach(k) is the last x the packed
+    # kernel takes and j + 1 the first that the banded one takes
+    ran = spy_kernels(monkeypatch)
+    j = packed_reach(k)
+    for m in (j - 1, j, j + 1, j + 2):
+        assert count_embeddings_dp("0" * k, "0" * m) == comb(k, m), (k, m)
+    assert ran == ["_count_packed"] * 2 + ["_count_banded"] * 2
+
+
+@st.composite
+def pairs_at_the_cap(draw):
+    """A uniform y with 64 <= |y| <= 160 and x a subsequence of it whose
+    (|x| + 1) * W lies within a few slots of PACKED_BITS, either side."""
+    n = draw(st.integers(min_value=64, max_value=160))
+    y = draw(st.text(alphabet="01", min_size=n, max_size=n))
+    m = packed_reach(n) + draw(st.integers(min_value=-3, max_value=4))
+    keep = set(draw(st.permutations(range(n)))[:m])
+    return y, "".join(c for i, c in enumerate(y) if i in keep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs_at_the_cap())
+def test_both_kernels_equal_the_runs_route_at_the_cap(pair):
+    y, x = pair
+    want = count_embeddings_runs(y, x)
+    assert count_embeddings_dp(y, x) == want
+    for count in KERNELS.values():
+        assert count(y, x) == want
+
+
+def test_dense_pairs_run_packed_and_long_pairs_banded(monkeypatch):
+    # the pairs-dense shapes: n = 24..40, a quarter or a half deleted; their
+    # widest table, n = 40 with a quarter deleted, is 31 slots of 38 bits.  A
+    # pair of |y| >= 1000 fails the cheap check (|x| + 1) * |y|.bit_length()
+    # > PACKED_BITS, so its slots are never sized
+    rnd, pairs = random.Random(28), []
+    for n in range(24, 41):
+        for share in (0.25, 0.5):
+            y = "".join(rnd.choice("01") for _ in range(n))
+            gone = set(rnd.sample(range(n), round(n * share)))
+            pairs.append((y, "".join(c for i, c in enumerate(y) if i not in gone)))
+    assert max((len(x) + 1) * slot_bits(y, x) for y, x in pairs) == 1178
+    y = long_runs(random.Random(1000), 1000)
+    x = "".join(c for i, c in enumerate(y) if i % 10 != 9)
+    want = count_embeddings_runs(y, x)
+    ran, sized = spy_kernels(monkeypatch), []
+    for pair in pairs:
+        count_embeddings_dp(*pair)
+    assert ran == ["_count_packed"] * len(pairs)
+    ran.clear()
+    monkeypatch.setattr(embed, "comb", lambda *args: sized.append(args) or comb(*args))
+    assert count_embeddings_dp(y, x) == want
+    assert ran == ["_count_banded"] and sized == []
 
 
 def test_masks_golden():

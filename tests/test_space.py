@@ -474,6 +474,25 @@ def test_prefix_level_reads_a_kept_level_past_its_depth():
         assert kept == levels[:3]
 
 
+def test_prefix_level_resumes_from_the_half_level_it_is_handed():
+    # scaled by 3, the handed level at depth n // 2 triples every count at
+    # depth n and nothing past keep is appended; a deeper kept level wins
+    n, x = 13, "01101001110"
+    for by_ones in (False, True):
+        fresh = _prefix_level(n, x, n, by_ones, [], 0)
+        kept = []
+        half = _prefix_level(n, x, n // 2, by_ones, kept, 2)
+        levels = list(kept)
+        assert len(levels) == 2
+        half = [{band: 3 * k for band, k in states.items()} for states in half]
+        level = _prefix_level(n, x, n, by_ones, kept, 2, half)
+        assert level == [{w: 3 * k for w, k in part.items()} for part in fresh]
+        assert kept == levels
+        kept = []
+        _prefix_level(n, x, 8, by_ones, kept, 8)
+        assert _prefix_level(n, x, n, by_ones, kept, 0, half) == fresh
+
+
 # Exact whole histograms from classical formulas that no route uses, checked
 # on the walk past the default budget and on the join at n = 20.
 
