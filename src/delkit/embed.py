@@ -168,20 +168,20 @@ def enumerate_masks(y: str, x: str, budget: int | None = None) -> list[Mask]:
     n, m = len(y), len(x)
     out: list[Mask] = []
     prefix: list[int] = []
-
-    def extend(start: int, j: int) -> None:
+    # depth first in lex order, no recursion: i is the next position to try for x[len(prefix)]
+    i = 0
+    while True:
+        j = len(prefix)
         if j == m:
             out.append(tuple(prefix))
-            return
         # leave room for the remaining symbols of x
-        for i in range(start, n - (m - j) + 1):
-            if y[i] == x[j]:
-                prefix.append(i)
-                extend(i + 1, j + 1)
-                prefix.pop()
-
-    extend(0, 0)
-    return out
+        elif (i := y.find(x[j], i, n - m + j + 1)) >= 0:
+            prefix.append(i)
+            i += 1
+            continue
+        if not prefix:
+            return out
+        i = prefix.pop() + 1
 
 
 def sigma_count(lp: int, l: int) -> int:

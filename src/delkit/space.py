@@ -7,16 +7,16 @@ members with exactly c more 1s than x; cluster sizes depend only on
 holds two more computations, checked against it).
 
 The weight histogram over the compatible set is read from the level at
-depth n of one walk, _prefix_level, which merges y prefixes that share their
-live prefix counts of x and can resume from levels kept by an earlier call.
-Two routes produce that level: the walk itself, run to depth n, and
-_split_half_level, which joins its level at depth n // 2 with reversed x's
-at depth n - n // 2.  _weight_histograms, the one entry to both, checks each
-x, walks it to depth n // 2 where the step counts of _split_half_pays admit
-the join, joins only if that level holds fewer than 4 live prefixes per
-state, and alone turns the level into the sorted histogram and clusters.
-The walk's level at depth L <= |x| depends only on x[:L], so each walk
-resumes from the level the walk before it kept at their common prefix.
+depth n of one walk, the generator _prefix_levels, which merges y prefixes
+that share their live prefix counts of x and yields a level per depth.  Two
+routes produce the level at depth n: the walk, and _split_half_level, which
+joins its level at depth n // 2 with reversed x's at depth n - n // 2.
+_weight_histograms, the one entry to both and the one loop over the walk,
+checks each x, keeps the levels the next x resumes from, joins only where
+_split_half_pays admits it and the level at depth n // 2 holds fewer than 4
+live prefixes per state, and alone turns the level into the histogram and
+clusters.  The walk's level at depth L <= |x| depends only on x[:L], so each
+walk resumes from the level the walk before it kept at their common prefix.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from functools import cache
+from itertools import islice
 from math import comb
 
 from .core import binomial, check_budget, hamming_weight, multichoose, validate_bits
@@ -96,44 +97,39 @@ def _split_half_pays(n: int, m: int) -> bool:
     Compares closed forms of each route's Python-level steps: 2^L (R + 2) + 2^R
     (L = n // 2, R = n - L) bounds the split-half route's halves, which hold
     at most 2^L and 2^R prefixes, and its tally adds 2^n / 11: one Counter
-    count per live (u, v), fitted at about a tenth of a walk state's cost in
-    64-bit slots.  The walk's states have since got cheaper: at (19, 7), in
-    16-bit slots, a joined pair costs about a sixth of a walk state, halves
-    included, so the charge now understates the join until it is re-fitted.
-    The walk is charged upsilon(n, m), orders of magnitude above its merged
-    states where x's prefixes merge heavily, so _weight_histograms decides on
-    the walk's level at depth L.  The join is exact only while C(n, m) < 2^64.
+    count per live (u, v), fitted at a tenth of a walk state's cost, now a
+    sixth.  The rule |x| <= R would walk the x between R and this frontier,
+    about 0.6 n, mostly faster but in up to 29 times the join's memory: the
+    frontier is what keeps memory down.  The walk is charged upsilon(n, m),
+    orders of magnitude above its merged states where x's prefixes merge
+    heavily, so _weight_histograms decides on the walk's level at depth L.
+    The join is exact only while C(n, m) < 2^64.
     """
     left, right = n // 2, n - n // 2
     steps = (1 << left) * (right + 2) + (1 << right) + (1 << n) // 11
     return comb(n, m) < 1 << 64 and steps < upsilon_size(n, m)
 
 
-def _prefix_level(
-    n: int, x: str, depth: int, by_ones: bool, kept: list, keep: int, half: list | None = None
-) -> list:
-    """Classes of the length-`depth` prefixes u of x's length-n supersequences.
+def _prefix_levels(
+    n: int, x: str, by_ones: bool, depth: int = 0, levels: list | None = None
+) -> Iterator[list]:
+    """Yield x's levels at depths `depth` to n, from `levels` (the root by default).
 
-    u reaches its completions only through its live band, w_{x[:j]}(u) for
-    L - d <= j <= L (L = |u|, d = n - |x|), packed into one int with a slot of
-    C(n, |x|).bit_length() bits per j, which no live count outgrows:
+    The level at depth L classes the length-L prefixes u of x's length-n
+    supersequences.  u reaches its completions only through its live band,
+    w_{x[:j]}(u) for L - d <= j <= L (d = n - |x|), packed into one int with
+    a slot of C(n, |x|).bit_length() bits per j, which no live count outgrows:
     w_{x[:j]}(u) sits in slot j - (L - d).  Prefixes that share a band are one
     state, {band: number of prefixes}, one dict per popcount of u with by_ones.
     A band of 0 cannot complete and is dropped; at depth n the band is the weight.
-    The walk resumes from the kept level at depth min(depth, len(kept)) (the root
-    at 0), or from half, x's level at depth n // 2, where that is deeper; on
-    return kept[L - 1] is the level at depth L for L <= keep.  A walk that
-    resumes from half appends nothing, as its caller has kept min(keep, n // 2)
-    levels already.
     """
     m = len(x)
     d, width = n - m, comb(n, m).bit_length()
     full, step = (1 << width) - 1, 1 if by_ones else 0
-    start = min(depth, len(kept))
-    levels = kept[start - 1] if start else [{1 << d * width: 1}]
-    if half is not None and start < n // 2:
-        start, levels = n // 2, half
-    for i in range(start, depth):
+    if levels is None:
+        levels = [{1 << d * width: 1}]
+    yield levels
+    for i in range(depth, n):
         # appending bit b adds w_{x[:j]} into w_{x[:j+1]} wherever x[j] == b,
         # and j + 1 lands in slot j - (i - d) once the band shifts down one
         zero = one = 0
@@ -153,14 +149,11 @@ def _prefix_level(
                 if b := up + (band & one):
                     to_one[b] = get_one(b, 0) + k
         levels = grown
-        if i < keep:
-            kept.append(levels)
-    del kept[keep:]
-    return levels
+        yield levels
 
 
 def _split_half_level(n: int, x: str, by_ones: bool, half: list) -> list:
-    """_prefix_level(n, x, n, by_ones, [], 0), joined from two half levels.
+    """x's level at depth n, as _prefix_levels yields it, joined from two halves.
 
     Every embedding of x in y = uv splits at exactly one j, so
     w_x(uv) = sum_j w_{x[:j]}(u) w_{x[j:]}(v) over max(0, m - R) <= j <= min(m, L)
@@ -185,7 +178,7 @@ def _split_half_level(n: int, x: str, by_ones: bool, half: list) -> list:
     # the band of every live v, grouped by popcount; sorting a group puts
     # equal weights of a row together, which tallies faster
     suffixes, blocks = [], [0]
-    for states in _prefix_level(n, x[::-1], right, by_ones, [], 0):
+    for states in next(islice(_prefix_levels(n, x[::-1], by_ones), right, None)):
         for band in sorted(states):
             suffixes += [band] * states[band]
         blocks.append(len(suffixes))
@@ -226,9 +219,10 @@ def _weight_histograms(
     order, before any work on that x; the routes trust these checks.  Either
     route yields the level at depth n, one {weight: count} per popcount of y
     with by_cluster; cluster c is popcount c + h(x).  Where _split_half_pays
-    admits the join, x's walk to depth n // 2 joins there if that level holds
+    admits the join, x's walk joins at depth n // 2 if its level there holds
     fewer than 4 live prefixes per state, and goes on to depth n otherwise.
-    Each walk keeps the levels of its common prefix with the next x.
+    Each walk resumes from the deepest kept level, n // 2 at most where the
+    join is admitted, and keeps its common prefix's levels for the next x.
     """
     xs, pays, kept = list(xs), cache(_split_half_pays), []
     for x, after in zip(xs, xs[1:] + [""]):
@@ -241,11 +235,16 @@ def _weight_histograms(
             raise ValueError(f"need 0 <= |x| <= n, got |x|={m}, n={n}")
         same = isinstance(after, str) and len(after) == m
         keep = next((j for j in range(m) if x[j] != after[j]), m) if same else 0
-        half = _prefix_level(n, x, n // 2, by_cluster, kept, keep) if pays(n, m) else None
-        if half and 4 * sum(map(len, half)) > sum(sum(part.values()) for part in half):
-            level = _split_half_level(n, x, by_cluster, half)
-        else:
-            level = _prefix_level(n, x, n, by_cluster, kept, keep, half)
+        half = n // 2 if pays(n, m) else n + 1  # the depth whose level may pick the join
+        start = min(len(kept), half)
+        walk = _prefix_levels(n, x, by_cluster, start, kept[start - 1] if start else None)
+        for depth, level in enumerate(walk, start):
+            if len(kept) < depth <= keep:
+                kept.append(level)
+            if depth == half and 4 * sum(map(len, level)) > sum(sum(p.values()) for p in level):
+                level = _split_half_level(n, x, by_cluster, level)
+                break
+        del kept[keep:]
         counts: dict[int, int] = {}
         for part in level:
             for w, k in part.items():

@@ -125,6 +125,19 @@ def test_count_masks(capsys):
     assert out == "4\n{1, 2, 4}\n{1, 2, 5}\n{1, 3, 4}\n{1, 3, 5}\n"
 
 
+def test_count_masks_of_a_long_x_print_without_a_traceback():
+    # x = y has exactly one mask, 1,000 symbols deep: past the interpreter's
+    # default recursion limit, so the walk over masks must not recurse per symbol
+    y = "01" * 500
+    proc = subprocess.run(
+        [sys.executable, "-m", "delkit.cli", "count", "--y", y, "--x", y, "--masks", "--budget", "1000"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-300:]
+    assert proc.stdout == "1\n{" + ", ".join(map(str, range(1, 1001))) + "}\n"
+
+
 def test_count_json(capsys):
     code, out, _ = run(
         capsys, "count", "--y", "11000", "--x", "110", "--masks", "--format", "json"

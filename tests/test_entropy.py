@@ -28,9 +28,9 @@ from delkit.entropy import (
     shannon_entropy,
     weight_distribution,
 )
-from delkit.space import _prefix_level, _split_half_pays, enumerate_supersequences, upsilon_size
+from delkit.space import _split_half_pays, enumerate_supersequences, upsilon_size
 
-from helpers import all_bits, compositions
+from helpers import all_bits, compositions, prefix_level
 
 bits = st.text(alphabet="01", min_size=1, max_size=8)
 
@@ -74,7 +74,7 @@ def test_weight_distribution_takes_the_route_the_rule_picks(monkeypatch):
     d = weight_distribution(19, "0110101", by_cluster=True)
     assert d.total_strings == upsilon_size(19, 7) == 480_492
     assert [args[:3] for args in joins] == [(19, "0110101", True)]
-    assert joins[0][3] == _prefix_level(19, "0110101", 19 // 2, True, [], 0)
+    assert joins[0][3] == prefix_level(19, "0110101", 19 // 2, True)
     assert weight_distribution(13, "01101010110", by_cluster=True).total_strings == 92
     assert len(joins) == 1
 
@@ -215,15 +215,15 @@ def test_walk_equals_the_supersequence_enumeration():
                 level = [Counter() for _ in range(n + 1)]
                 for y, w in enumerate_supersequences(n, x):
                     level[y.count("1")][w] += 1
-                assert _prefix_level(n, x, n, False, [], 0) == [sum(level, Counter())]
-                assert _prefix_level(n, x, n, True, [], 0) == level
+                assert prefix_level(n, x, n, False) == [sum(level, Counter())]
+                assert prefix_level(n, x, n, True) == level
 
 
 def test_walk_equals_the_closed_forms():
     for m in range(1, 12):
         for x in all_bits(m):
             for n, want in ((m + 1, predicted_weights_single), (m + 2, predicted_weights_double)):
-                assert _prefix_level(n, x, n, False, [], 0) == [want(x).counts]
+                assert prefix_level(n, x, n, False) == [want(x).counts]
 
 
 @pytest.mark.parametrize("symbol", "01")
@@ -236,7 +236,7 @@ def test_walk_slots_hold_the_largest_weight(symbol):
             level = [Counter() for _ in range(n + 1)]
             for r in range(m, n + 1):
                 level[n - r if symbol == "0" else r][comb(r, m)] += comb(n, r)
-            assert _prefix_level(n, symbol * m, n, True, [], 0) == level, (n, m)
+            assert prefix_level(n, symbol * m, n, True) == level, (n, m)
 
 
 @given(bits)

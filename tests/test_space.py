@@ -28,7 +28,7 @@ from delkit.embed import count_embeddings_dp, enumerate_masks
 from delkit.entropy import weight_distribution
 from delkit.oracle import oracle_weight_table
 from delkit.space import (
-    _prefix_level,
+    _prefix_levels,
     _split_half_level,
     _split_half_pays,
     _weight_histograms,
@@ -37,7 +37,7 @@ from delkit.space import (
     upsilon_size,
 )
 
-from helpers import all_bits
+from helpers import all_bits, prefix_level
 from oracle_scan import oracle_space
 
 bits = st.text(alphabet="01", max_size=10)
@@ -119,8 +119,8 @@ def test_split_half_histogram_equals_walk_and_oracle_exhaustive():
             for x in all_bits(m):
                 counts, clusters = _oracle_histograms(n, x, ones)
                 for by_ones in (False, True):
-                    level = _prefix_level(n, x, n, by_ones, [], 0)
-                    half = _prefix_level(n, x, n // 2, by_ones, [], 0)
+                    level = prefix_level(n, x, n, by_ones)
+                    half = prefix_level(n, x, n // 2, by_ones)
                     assert _split_half_level(n, x, by_ones, half) == level, (n, x, by_ones)
                     assert level == _as_level(n, x, counts, clusters, by_ones), (n, x, by_ones)
 
@@ -161,7 +161,7 @@ def test_split_half_histogram_equals_walk_and_oracle_exhaustive():
 def test_split_half_histogram_edges(n, x, counts, clusters):
     # frozen from the walk
     for by_ones in (False, True):
-        half = _prefix_level(n, x, n // 2, by_ones, [], 0)
+        half = prefix_level(n, x, n // 2, by_ones)
         assert _split_half_level(n, x, by_ones, half) == _as_level(n, x, counts, clusters, by_ones)
 
 
@@ -193,12 +193,12 @@ def test_prefix_level_holds_the_live_bands_of_every_prefix():
                         )
                         if band:
                             suffixes[ones, band] += 1
-                    assert _flat_level(_prefix_level(n, x, depth, True, [], 0)) == prefixes
-                    assert _flat_level(_prefix_level(n, x[::-1], depth, True, [], 0)) == suffixes
+                    assert _flat_level(prefix_level(n, x, depth, True)) == prefixes
+                    assert _flat_level(prefix_level(n, x[::-1], depth, True)) == suffixes
                     merged = Counter()
                     for (_, band), k in prefixes.items():
                         merged[band] += k
-                    assert _prefix_level(n, x, depth, False, [], 0) == [merged]
+                    assert prefix_level(n, x, depth, False) == [merged]
 
 
 def _oracle_histograms_np(n, x):
@@ -227,14 +227,14 @@ def test_split_half_histogram_with_merged_and_dead_halves(n, x):
     m, left = len(x), n // 2
     assert (m + 1) << n <= 1 << 26  # inside the oracle's memory guard
     for depth, word in ((left, x), (n - left, x[::-1])):
-        level = _prefix_level(n, word, depth, True, [], 0)
+        level = prefix_level(n, word, depth, True)
         assert sum(map(len, level)) < sum(sum(states.values()) for states in level)
     counts, clusters = _oracle_histograms_np(n, x)
     for by_ones in (False, True):
         level = _as_level(n, x, counts, clusters, by_ones)
-        half = _prefix_level(n, x, left, by_ones, [], 0)
+        half = prefix_level(n, x, left, by_ones)
         assert _split_half_level(n, x, by_ones, half) == level
-        assert _prefix_level(n, x, n, by_ones, [], 0) == level
+        assert prefix_level(n, x, n, by_ones) == level
 
 
 @pytest.mark.parametrize(
@@ -247,8 +247,8 @@ def test_split_half_level_equals_the_walk_in_wide_slots(x, slot_bits):
     # A constant x reaches the bound: y = 0^19 embeds 0^m C(19, m) times
     assert slot_bits // 2 < comb(19, len(x)).bit_length() <= slot_bits
     for by_ones in (False, True):
-        half = _prefix_level(19, x, 19 // 2, by_ones, [], 0)
-        assert _split_half_level(19, x, by_ones, half) == _prefix_level(19, x, 19, by_ones, [], 0)
+        half = prefix_level(19, x, 19 // 2, by_ones)
+        assert _split_half_level(19, x, by_ones, half) == prefix_level(19, x, 19, by_ones)
 
 
 def test_split_half_route_rule():
@@ -285,7 +285,7 @@ def test_split_half_rule_walks_short_x(monkeypatch, n, m):
     monkeypatch.setattr(space, "_split_half_level", None)  # a join would raise TypeError
     for by_cluster in (False, True):
         got = next(_weight_histograms(n, [x], by_cluster, n))
-        assert got == _histograms(_prefix_level(n, x, n, by_cluster, [], 0), x, by_cluster)
+        assert got == _histograms(prefix_level(n, x, n, by_cluster), x, by_cluster)
 
 
 @pytest.mark.parametrize(
@@ -324,9 +324,9 @@ def test_the_half_level_picks_the_route_at_its_boundary(monkeypatch, n, x, state
 
     monkeypatch.setattr(space, "_split_half_level", spy)
     for by_cluster in (False, True):
-        half = _prefix_level(n, x, n // 2, by_cluster, [], 0)
+        half = prefix_level(n, x, n // 2, by_cluster)
         assert (sum(map(len, half)), sum(sum(p.values()) for p in half)) == (states, prefixes)
-        walk = _prefix_level(n, x, n, by_cluster, [], 0)
+        walk = prefix_level(n, x, n, by_cluster)
         assert next(_weight_histograms(n, [x], by_cluster)) == _histograms(walk, x, by_cluster)
         assert [args[:3] for args in joined] == ([(n, x, by_cluster)] if joins else [])
         if joins:
@@ -351,7 +351,7 @@ def test_a_batch_of_walks_and_joins_equals_each_walk_alone_in_any_order(monkeypa
     monkeypatch.setattr(space, "_split_half_level", spy)
     shuffled = random.Random(2018).sample(xs, len(xs))
     for by_cluster in (False, True):
-        want = {x: _histograms(_prefix_level(n, x, n, by_cluster, [], 0), x, by_cluster) for x in xs}
+        want = {x: _histograms(prefix_level(n, x, n, by_cluster), x, by_cluster) for x in xs}
         for order in (sorted(xs), sorted(xs, reverse=True), shuffled):
             got = list(_weight_histograms(n, order, by_cluster))
             assert got == [want[x] for x in order], (n, by_cluster)
@@ -378,7 +378,7 @@ def test_weight_histogram_refuses_before_either_route(
     def no_route(*args):
         raise AssertionError("a route ran on input the entry must refuse")
 
-    monkeypatch.setattr(space, "_prefix_level", no_route)
+    monkeypatch.setattr(space, "_prefix_levels", no_route)
     monkeypatch.setattr(space, "_split_half_level", no_route)
 
     def one(n, x, by_cluster):
@@ -420,7 +420,7 @@ def test_shared_walk_equals_each_walk_alone_in_any_order():
             want = {x: _enumerated(n, x, by_cluster) for x in xs}
             for x in xs:
                 level = _as_level(n, x, *want[x], by_cluster)
-                assert _prefix_level(n, x, n, by_cluster, [], 0) == level, (n, x)
+                assert prefix_level(n, x, n, by_cluster) == level, (n, x)
             for order in (sorted(xs), sorted(xs, reverse=True), shuffled):
                 got = list(_weight_histograms(n, order, by_cluster))
                 assert got == [want[x] for x in order], (n, by_cluster)
@@ -444,53 +444,16 @@ def test_a_joined_x_leaves_no_kept_levels_to_the_next_walk():
     + [(10, "0110", 0), (10, "0110", 2), (10, "0110", 4), (9, "", 0), (12, "111000", 3)],
 )
 def test_prefix_level_continues_from_the_kept_level(n, x, L):
-    # equality alone cannot tell a resumed walk from one that restarted at the
-    # root; scaling the kept level by 3 can: every count at depth n triples.
-    # With L = 0 nothing is kept and the walk starts at the root
+    # equality alone cannot tell a walk that continued from the level it was
+    # handed from one that restarted at the root; scaling that level by 3 can:
+    # every count at depth n triples.  At L = 0 the handed level is the root's
     for by_ones in (False, True):
-        fresh = _prefix_level(n, x, n, by_ones, [], 0)
-        kept = []
-        _prefix_level(n, x, L, by_ones, kept, L)
-        assert len(kept) == L
-        if kept:
-            kept[-1] = [{band: 3 * k for band, k in states.items()} for states in kept[-1]]
-        factor = 3 if L else 1
-        level = _prefix_level(n, x, n, by_ones, kept, 0)
-        assert level == [{w: factor * k for w, k in part.items()} for part in fresh]
-        assert kept == []
-
-
-def test_prefix_level_reads_a_kept_level_past_its_depth():
-    # a walk to depth L over more kept levels answers with the kept level at
-    # depth L, builds nothing and cuts kept to keep levels
-    n, x = 13, "01101001110"
-    for by_ones in (False, True):
-        kept = []
-        _prefix_level(n, x, 8, by_ones, kept, 8)
-        levels = list(kept)
-        assert _prefix_level(n, x, 5, by_ones, kept, n) is levels[4]
-        assert kept == levels
-        assert _prefix_level(n, x, 5, by_ones, kept, 3) == _prefix_level(n, x, 5, by_ones, [], 0)
-        assert kept == levels[:3]
-
-
-def test_prefix_level_resumes_from_the_half_level_it_is_handed():
-    # scaled by 3, the handed level at depth n // 2 triples every count at
-    # depth n and nothing past keep is appended; a deeper kept level wins
-    n, x = 13, "01101001110"
-    for by_ones in (False, True):
-        fresh = _prefix_level(n, x, n, by_ones, [], 0)
-        kept = []
-        half = _prefix_level(n, x, n // 2, by_ones, kept, 2)
-        levels = list(kept)
-        assert len(levels) == 2
-        half = [{band: 3 * k for band, k in states.items()} for states in half]
-        level = _prefix_level(n, x, n, by_ones, kept, 2, half)
-        assert level == [{w: 3 * k for w, k in part.items()} for part in fresh]
-        assert kept == levels
-        kept = []
-        _prefix_level(n, x, 8, by_ones, kept, 8)
-        assert _prefix_level(n, x, n, by_ones, kept, 0, half) == fresh
+        fresh = prefix_level(n, x, n, by_ones)
+        start = prefix_level(n, x, L, by_ones)
+        tripled = [{band: 3 * k for band, k in states.items()} for states in start]
+        walk = list(_prefix_levels(n, x, by_ones, L, tripled))
+        assert len(walk) == n - L + 1 and walk[0] is tripled
+        assert walk[-1] == [{w: 3 * k for w, k in part.items()} for part in fresh]
 
 
 # Exact whole histograms from classical formulas that no route uses, checked
@@ -560,7 +523,7 @@ def test_split_half_level_equals_the_classical_histograms(x):
         _inversion_histograms(n) if "1" in x else _constant_histograms(n, len(x))
     )
     for by_ones in (False, True):
-        half = _prefix_level(n, x, n // 2, by_ones, [], 0)
+        half = prefix_level(n, x, n // 2, by_ones)
         assert _split_half_level(n, x, by_ones, half) == _as_level(n, x, counts, clusters, by_ones)
 
 
