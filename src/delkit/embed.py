@@ -174,8 +174,8 @@ def enumerate_masks(y: str, x: str, budget: int | None = None) -> list[Mask]:
         j = len(prefix)
         if j == m:
             out.append(tuple(prefix))
-        # leave room for the remaining symbols of x
-        elif (i := y.find(x[j], i, n - m + j + 1)) >= 0:
+        # leave room for the rest of x; a negative end would count back from y's end
+        elif (i := y.find(x[j], i, max(0, n - m + j + 1))) >= 0:
             prefix.append(i)
             i += 1
             continue

@@ -221,8 +221,9 @@ def _weight_histograms(
     with by_cluster; cluster c is popcount c + h(x).  Where _split_half_pays
     admits the join, x's walk joins at depth n // 2 if its level there holds
     fewer than 4 live prefixes per state, and goes on to depth n otherwise.
-    Each walk resumes from the deepest kept level, n // 2 at most where the
-    join is admitted, and keeps its common prefix's levels for the next x.
+    Each walk resumes from the deepest kept level and keeps its common
+    prefix's levels for the next x; a kept level past n // 2 means an x with
+    the same level at n // 2 walked on from it, so this x walks on as well.
     """
     xs, pays, kept = list(xs), cache(_split_half_pays), []
     for x, after in zip(xs, xs[1:] + [""]):
@@ -236,9 +237,8 @@ def _weight_histograms(
         same = isinstance(after, str) and len(after) == m
         keep = next((j for j in range(m) if x[j] != after[j]), m) if same else 0
         half = n // 2 if pays(n, m) else n + 1  # the depth whose level may pick the join
-        start = min(len(kept), half)
-        walk = _prefix_levels(n, x, by_cluster, start, kept[start - 1] if start else None)
-        for depth, level in enumerate(walk, start):
+        walk = _prefix_levels(n, x, by_cluster, len(kept), kept[-1] if kept else None)
+        for depth, level in enumerate(walk, len(kept)):
             if len(kept) < depth <= keep:
                 kept.append(level)
             if depth == half and 4 * sum(map(len, level)) > sum(sum(p.values()) for p in level):

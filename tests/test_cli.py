@@ -138,6 +138,19 @@ def test_count_masks_of_a_long_x_print_without_a_traceback():
     assert proc.stdout == "1\n{" + ", ".join(map(str, range(1, 1001))) + "}\n"
 
 
+def test_count_masks_of_an_x_longer_than_y_print_zero_at_once():
+    # no mask exists, so the walk must not try a single host for x[0]; a
+    # search bound that goes negative would count back from y's end and walk
+    # about 6.9e10 dead prefixes here
+    proc = subprocess.run(
+        [sys.executable, "-m", "delkit.cli", "count", "--y", "0" * 40, "--x", "0" * 60, "--masks", "--budget", "40"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
 def test_count_json(capsys):
     code, out, _ = run(
         capsys, "count", "--y", "11000", "--x", "110", "--masks", "--format", "json"

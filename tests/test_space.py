@@ -438,6 +438,27 @@ def test_a_joined_x_leaves_no_kept_levels_to_the_next_walk():
         assert list(_weight_histograms(n, xs, by_cluster)) == want
 
 
+def test_a_walk_resumes_from_kept_levels_past_the_half_depth(monkeypatch):
+    # at (11, 7) both x walk on past depth 5, where the join is admitted, and
+    # share 6 symbols: the second resumes from the kept level at depth 6, the
+    # same half level having sent the first x on, and builds only depths 7 to 11
+    n, xs = 11, ["0000000", "0000001"]
+    assert _split_half_pays(n, 7)
+    starts, walk = [], space._prefix_levels
+
+    def spy(n, x, by_ones, depth=0, levels=None):
+        starts.append((x, depth))
+        return walk(n, x, by_ones, depth, levels)
+
+    monkeypatch.setattr(space, "_prefix_levels", spy)
+    monkeypatch.setattr(space, "_split_half_level", None)  # a join would raise TypeError
+    for by_cluster in (False, True):
+        want = [_histograms(prefix_level(n, x, n, by_cluster), x, by_cluster) for x in xs]
+        starts.clear()
+        assert list(_weight_histograms(n, xs, by_cluster)) == want
+        assert starts == [(xs[0], 0), (xs[1], 6)]
+
+
 @pytest.mark.parametrize(
     "n, x, L",
     [(13, "01101001110", L) for L in (0, 1, 6, 11)]
