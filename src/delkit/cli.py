@@ -155,7 +155,16 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         from .oracle import OracleBudget, oracle_count
         w = oracle_count(y, x, OracleBudget(max_n=budget))
-    masks = enumerate_masks(y, x, budget) if args.masks else None
+    masks = None
+    if args.masks:
+        # the mask table holds omega tuples of |x| positions, and the empty mask counts one
+        cells = w * max(len(x), 1)
+        if cells > 2**budget:
+            raise BudgetError(
+                f"omega*max(|x|,1)={cells} exceeds 2^{budget} mask positions for "
+                f"count --masks; raise --budget or {ENV_BUDGET}"
+            )
+        masks = enumerate_masks(y, x, budget)
     if args.format == "json":
         obj: dict[str, object] = {"y": y, "x": x, "method": args.method, "omega": w}
         if masks is not None:
@@ -262,8 +271,8 @@ def cmd_gchain(args: argparse.Namespace) -> int:
 
 
 # suite name -> (its rows function in delkit.verify, called with a --max-m and
-# budget; default --max-m; n - m at its longest enumeration or None), in --help
-# order; only clusters enumerates at m = 0
+# budget; default --max-m; n - m at its longest compatible set or None), in
+# --help order; only clusters builds one at m = 0
 SUITES = {
     "clusters": ("clusters", 6, 3),
     "initials": ("initials", 5, 3),
@@ -352,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=list(SUITES),
         help=(
-            "clusters/initials/singletons: closed forms vs enumeration; "
-            "lemma1/lemma4: predicted one/two-insertion multisets vs enumeration; "
+            "clusters/initials/singletons: closed forms vs the compatible sets; "
+            "lemma1/lemma4: predicted one/two-insertion multisets vs the observed ones; "
             "identityB/identityC: count and mask-mass identities over compositions; "
             "entropy-min: constant strings minimize H and Renyi entropy"
         ),

@@ -1,10 +1,13 @@
 """The self-check suites behind `delkit verify`.
 
-Each suite re-derives closed forms of the paper from enumeration and returns
-one row (case, lhs, rhs, ok) per check.  Only `delkit verify` imports this
-module, so no other CLI start compiles it.  cli.SUITES names each suite's
-function here, with its default --max-m and longest n - m; the CLI refuses
-an over-budget --max-m or n before this module loads.
+Each suite checks closed forms of the paper against the compatible sets and
+returns one row (case, lhs, rhs, ok) per check.  clusters, singletons, lemma1
+and lemma4 read the weight histograms from space._weight_histograms, one call
+per (m, n) over x in lex order; initials tests each member string, so it
+lists them with space.enumerate_supersequences.  Only `delkit verify`
+imports this module, so no other CLI start compiles it.  cli.SUITES names
+each suite's function here, with its default --max-m and longest n - m; the
+CLI refuses an over-budget --max-m or n before this module loads.
 """
 from __future__ import annotations
 
@@ -43,19 +46,15 @@ def clusters(max_m: int, budget: int) -> list[Row]:
     rows: list[Row] = []
     for m in range(0, max_m + 1):
         for n in range(m, m + 4):
-            for h in range(0, m + 1):
-                x = "1" * h + "0" * (m - h)
-                members = space.enumerate_supersequences(n, x, budget)
-                tally = Counter(y.count("1") - h for y, _ in members)
+            xs = ["1" * h + "0" * (m - h) for h in range(0, m + 1)]
+            for h, (_, parts) in enumerate(space._weight_histograms(n, xs, True, budget)):
                 for c in range(0, n - m + 1):
                     closed = space.cluster_size_closed(n, m, h, c)
                     simple = cluster_size_simple(n, m, h, c)
-                    rec = cluster_size_recursive(n, x, c)
-                    enum = tally[c]
+                    rec = cluster_size_recursive(n, xs[h], c)
+                    enum = sum(parts.get(c, {}).values())
                     ok = closed == simple == rec == enum
-                    rows.append(
-                        (f"n={n} m={m} h={h} c={c}", str(closed), str(enum), ok)
-                    )
+                    rows.append((f"n={n} m={m} h={h} c={c}", str(closed), str(enum), ok))
     return rows
 
 
@@ -83,17 +82,15 @@ def initials(max_m: int, budget: int) -> list[Row]:
 def singletons(max_m: int, budget: int) -> list[Row]:
     rows: list[Row] = []
     for m in range(1, max_m + 1):
+        xs = list(_all_bits(m))
         for n in range(m, m + 4):
-            for x in _all_bits(m):
-                h = x.count("1")
-                singles = [y for y, w in space.enumerate_supersequences(n, x, budget) if w == 1]
-                tally = Counter(y.count("1") - h for y in singles)
-                closed = singleton_count(n, x)
-                ok = len(singles) == closed and all(
-                    tally[c] == singleton_cluster_count(n, x, c)
+            for x, (counts, parts) in zip(xs, space._weight_histograms(n, xs, True, budget)):
+                singles, closed = counts.get(1, 0), singleton_count(n, x)
+                ok = singles == closed and all(
+                    parts.get(c, {}).get(1, 0) == singleton_cluster_count(n, x, c)
                     for c in range(0, n - m + 1)
                 )
-                rows.append((f"n={n} x={x}", str(closed), str(len(singles)), ok))
+                rows.append((f"n={n} x={x}", str(closed), str(singles), ok))
     return rows
 
 
@@ -101,18 +98,11 @@ def _lemma_rows(max_m: int, extra: int, budget: int) -> list[Row]:
     predict = predicted_weights_single if extra == 1 else predicted_weights_double
     rows: list[Row] = []
     for m in range(1, max_m + 1):
-        n = m + extra
-        for x in _all_bits(m):
+        xs = list(_all_bits(m))
+        for x, (observed, _) in zip(xs, space._weight_histograms(m + extra, xs, budget=budget)):
             predicted = predict(x).counts
-            observed = Counter(w for _, w in space.enumerate_supersequences(n, x, budget))
-            rows.append(
-                (
-                    f"x={x}",
-                    _multiset_text(predicted),
-                    _multiset_text(observed),
-                    predicted == observed,
-                )
-            )
+            text = _multiset_text(predicted), _multiset_text(observed)
+            rows.append((f"x={x}", *text, predicted == observed))
     return rows
 
 

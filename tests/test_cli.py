@@ -11,10 +11,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from delkit import core, entropy
+from delkit import core, entropy, space, verify
 from delkit.cli import SUITES, main
 from delkit.clusters import is_maximal_initial
 from delkit.embed import count_embeddings_dp
@@ -149,6 +150,35 @@ def test_count_masks_of_an_x_longer_than_y_print_zero_at_once():
         timeout=30,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_count_masks_past_the_budget_are_refused_before_any_is_listed():
+    # C(24, 12) = 2,704,156 masks of 12 positions each would be held at once,
+    # about 0.9 GB; the child is run apart so a listing cannot reach the tests
+    argv = ["count", "--y", "0" * 24, "--x", "0" * 12, "--masks"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "delkit.cli", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: omega*max(|x|,1)=32449872 exceeds 2^24 mask positions for "
+        "count --masks; raise --budget or DELKIT_BUDGET\n"
+    )
+
+
+def test_count_masks_follow_the_budget(capsys):
+    # 0^3 in 0^6 has 20 masks of 3 positions: 60 > 2^5 is refused, 60 <= 2^6 is
+    # not, and the empty x's one empty mask counts as one position
+    argv = ("count", "--y", "0" * 6, "--x", "0" * 3, "--masks", "--budget")
+    code, out, err = run(capsys, *argv, "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: omega*max(|x|,1)=60 exceeds 2^5 ")
+    code, out, _ = run(capsys, *argv, "6")
+    assert code == 0 and out.splitlines()[:2] == ["20", "{1, 2, 3}"] and len(out.splitlines()) == 21
+    code, out, _ = run(capsys, "count", "--y", "", "--x", "", "--masks", "--budget", "0")
+    assert (code, out) == (0, "1\n{}\n")
 
 
 def test_count_json(capsys):
@@ -616,8 +646,8 @@ def test_verify_refuses_an_over_budget_length_before_any_work(capsys):
 
 @pytest.mark.parametrize("suite", [s for s, (_, _, extra) in SUITES.items() if extra is not None])
 def test_verify_enumerates_under_the_budget_it_checks(capsys, monkeypatch, suite):
-    # the longest n is refused up front, and the budget reaches the enumerator,
-    # which would otherwise refuse every n > 0 at the default patched to 0
+    # the longest n is refused up front, and the budget reaches the walk or the
+    # enumerator, which would otherwise refuse every n > 0 at the default patched to 0
     monkeypatch.setattr(core, "DEFAULT_BUDGET", 0)
     top = 3 + SUITES[suite][2]
     argv = ("verify", "--suite", suite, "--max-m", "3", "--budget")
@@ -758,7 +788,7 @@ def _brute_force_column(suite, case):
     return " ".join(f"{w}:{observed[w]}" for w in sorted(observed)) or "-"
 
 
-# the column of each brute-force suite's rows that comes from enumeration
+# the column of each brute-force suite's rows that comes from the walk or the enumerator
 ENUMERATED = {"clusters": 3, "initials": 2, "singletons": 3, "lemma1": 3, "lemma4": 3}
 
 
@@ -769,6 +799,50 @@ def test_verify_enumeration_equals_the_oracle_at_the_default_max_m(capsys, suite
     _, _, rows = parse_csv(out)
     col = ENUMERATED[suite]
     assert [r[col] for r in rows] == [_brute_force_column(suite, r[1]) for r in rows]
+
+
+def test_verify_reads_histograms_from_the_walk_and_initials_enumerates(capsys, monkeypatch):
+    # the histogram suites read space._weight_histograms, not the enumerator
+    # and not entropy's checked WeightDistribution entries; initials tests
+    # each member string, so it alone still lists them
+    def refuse(*args, **kwargs):
+        raise AssertionError("not called by the histogram suites")
+
+    real = space.enumerate_supersequences
+    for name in ("weight_distribution", "weight_distributions"):
+        monkeypatch.setattr(entropy, name, refuse)
+    monkeypatch.setattr(space, "enumerate_supersequences", refuse)
+    for suite in ("clusters", "singletons", "lemma1", "lemma4"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-m", "4")
+        assert (code, err) == (0, ""), suite
+        assert parse_csv(out)[0]["failures"] == "0"
+    calls = []
+
+    def spy(n, x, budget=None):
+        calls.append((n, x))
+        return real(n, x, budget)
+
+    monkeypatch.setattr(space, "enumerate_supersequences", spy)
+    code, out, _ = run(capsys, "verify", "--suite", "initials", "--max-m", "2")
+    assert code == 0 and parse_csv(out)[0]["failures"] == "0"
+    assert calls == [(n, x) for m in (1, 2) for n in range(m, m + 4) for x in all_bits(m)]
+
+
+def test_verify_reports_failed_rows_without_a_traceback(capsys, monkeypatch):
+    # closed forms off by one must fail every row they feed, and exit 1
+    real_count, real_double = verify.singleton_count, verify.predicted_weights_double
+    monkeypatch.setattr(verify, "singleton_count", lambda n, x: real_count(n, x) + 1)
+    monkeypatch.setattr(
+        verify,
+        "predicted_weights_double",
+        lambda x: SimpleNamespace(counts={w: k + 1 for w, k in real_double(x).counts.items()}),
+    )
+    for suite in ("singletons", "lemma4"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-m", "3")
+        assert (code, err) == (1, ""), suite
+        meta, _, rows = parse_csv(out)
+        assert meta["failures"] == meta["checks"] == str(len(rows)) and rows
+        assert all(r[4] == "false" for r in rows)
 
 
 def test_usage_errors_exit_2():
