@@ -7,8 +7,11 @@ with entropies), verify (self-check suites).  Output is CSV (with leading
 for a given invocation.  Exit codes: 0 success, 1 verification failure
 or stdout closed early, 2 usage/budget error or out of memory.
 
-Enumeration budgets resolve as flag (--budget) over environment
-(DELKIT_BUDGET) over the built-in default of 24, and must be nonnegative.
+Budgets resolve as --budget over DELKIT_BUDGET over the default 24, and
+must be nonnegative.  Before any work, _check_work refuses count --method
+runs past 2^budget chain steps, count --masks past 2^budget mask positions,
+sweep past its cap on m (the budget if set, else min(budget, 12)) and gchain
+past 2^budget chain symbols; verify and the library use core.check_budget.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from .embed import count_embeddings_dp, count_embeddings_runs, enumerate_masks
 
 ENV_BUDGET = "DELKIT_BUDGET"
 SWEEP_DEFAULT_MAX_M = 12
+RAISE_BUDGET = f"raise --budget or {ENV_BUDGET}"
 
 
 def _resolve_budget(args: argparse.Namespace) -> tuple[int, bool]:
@@ -49,6 +53,12 @@ def _resolve_budget(args: argparse.Namespace) -> tuple[int, bool]:
     if budget < 0:
         raise BudgetError(f"{source} must be nonnegative, got {budget}")
     return budget, True
+
+
+def _check_work(what: str, work: int, limit: int, cap: str, remedy: str = RAISE_BUDGET) -> None:
+    """Refuse in one line, before it starts, work past its limit."""
+    if work > limit:
+        raise BudgetError(f"{what}={work} exceeds {cap}; {remedy}")
 
 
 def _cell(v: object) -> str:
@@ -146,11 +156,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         # the chain's (u, v) pairs: at most runs(x) steps of band^2 pairs each
         rx, ry = len(_run_lengths(x)), len(_run_lengths(y))
         steps = rx * (max(ry - rx, 0) // 2 + 1) ** 2
-        if steps > 2**budget:
-            raise BudgetError(
-                f"runs(x)*((runs(y)-runs(x))//2+1)^2={steps} exceeds 2^{budget} "
-                "chain steps for --method runs; --method dp counts this pair"
-            )
+        _check_work("runs(x)*((runs(y)-runs(x))//2+1)^2", steps, 2**budget,
+                    f"2^{budget} chain steps for --method runs", "--method dp counts this pair")
         w = count_embeddings_runs(y, x)
     else:
         from .oracle import OracleBudget, oracle_count
@@ -158,13 +165,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     masks = None
     if args.masks:
         # the mask table holds omega tuples of |x| positions, and the empty mask counts one
-        cells = w * max(len(x), 1)
-        if cells > 2**budget:
-            raise BudgetError(
-                f"omega*max(|x|,1)={cells} exceeds 2^{budget} mask positions for "
-                f"count --masks; raise --budget or {ENV_BUDGET}"
-            )
-        masks = enumerate_masks(y, x, budget)
+        _check_work("omega*max(|x|,1)", w * max(len(x), 1), 2**budget,
+                    f"2^{budget} mask positions for count --masks")
+        masks = enumerate_masks(y, x)
     if args.format == "json":
         obj: dict[str, object] = {"y": y, "x": x, "method": args.method, "omega": w}
         if masks is not None:
@@ -217,10 +220,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if m < 0 or n < m:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     cap = budget if explicit else min(budget, SWEEP_DEFAULT_MAX_M)
-    if m > cap:
-        raise BudgetError(
-            f"m={m} exceeds the sweep cap {cap}; raise --budget or {ENV_BUDGET}"
-        )
+    _check_work("m", m, cap, f"the sweep cap {cap}")
     alphas = args.alpha
     orders = [f"{a:g}" for a in alphas]
     seen: dict[str, float] = {}
@@ -252,12 +252,8 @@ def cmd_gchain(args: argparse.Namespace) -> int:
     if not x:
         raise ValueError("gchain needs a nonempty string")
     # the chain has runs(x) rows of |x| symbols, which bounds output and work
-    cells = len(_run_lengths(x)) * len(x)
-    if cells > 2**budget:
-        raise BudgetError(
-            f"runs(x)*|x|={cells} exceeds 2^{budget} chain symbols for gchain; "
-            f"raise --budget or {ENV_BUDGET}"
-        )
+    _check_work("runs(x)*|x|", len(_run_lengths(x)) * len(x), 2**budget,
+                f"2^{budget} chain symbols for gchain")
     from .deletions import g_chain, predicted_weights_double, predicted_weights_single
     predict = predicted_weights_single if args.deletions == 1 else predicted_weights_double
     rows = [(i, s, ent.shannon_entropy(predict(s))) for i, s in enumerate(g_chain(x))]
@@ -322,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=None,
-            help=f"enumeration length cap (default {DEFAULT_BUDGET}; env {ENV_BUDGET})",
+            help=f"length cap and log2 work cap (default {DEFAULT_BUDGET}; env {ENV_BUDGET})",
         )
 
     c = sub.add_parser("count", help="embedding count of x in y")

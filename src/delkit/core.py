@@ -57,7 +57,7 @@ class _Frozen(_Value):
 
 
 class BudgetError(ValueError):
-    """An enumeration was refused because its input exceeds the budget."""
+    """Work was refused, before it started, because it exceeds the budget."""
 
 
 def check_budget(n: int, budget: int | None = None, what: str = "n") -> None:

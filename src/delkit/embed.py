@@ -10,7 +10,7 @@ supersequence of x.  Three independent routes compute it:
   each symbol of y only the prefixes of x that are already reached and can
   still complete, which lie between x's greedy leftmost and rightmost
   embeddings in y,
-* explicit enumeration of the position masks themselves,
+* explicit enumeration of the masks, extending only prefixes that complete,
 * a run-length route that groups masks by which run of y hosts the last
   symbol of each run of x.
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import deque
 from math import comb, prod
 
-from .core import Mask, _Frozen, _run_lengths, binomial, check_budget, validate_bits
+from .core import Mask, _Frozen, _run_lengths, binomial, validate_bits
 
 __all__ = [
     "BlockMap",
@@ -160,22 +160,26 @@ def _count_banded(y: str, x: str) -> int:
     return counts[m]
 
 
-def enumerate_masks(y: str, x: str, budget: int | None = None) -> list[Mask]:
-    """All embedding masks of x in y, as 0-based tuples in lexicographic order."""
+def enumerate_masks(y: str, x: str) -> list[Mask]:
+    """All embedding masks of x in y, as 0-based tuples in lexicographic order.
+
+    Depth first, placing x[j] no later than in x's greedy rightmost embedding
+    in y: every prefix it extends completes, so it visits at most omega * |x|.
+    """
     validate_bits(y)
     validate_bits(x)
-    check_budget(len(y), budget, "len(y)")
-    n, m = len(y), len(x)
+    # end[j] = 1 + x[j]'s place in the rightmost embedding, 0 once x[j:] has no room;
+    # max(at, 0) keeps a failed search's -1 from counting back from y's end
+    at = len(y)
+    end = [(at := y.rfind(c, 0, max(at, 0))) + 1 for c in reversed(x)][::-1]
     out: list[Mask] = []
     prefix: list[int] = []
-    # depth first in lex order, no recursion: i is the next position to try for x[len(prefix)]
-    i = 0
+    i = 0  # the next position to try for x[len(prefix)]
     while True:
         j = len(prefix)
-        if j == m:
+        if j == len(x):
             out.append(tuple(prefix))
-        # leave room for the rest of x; a negative end would count back from y's end
-        elif (i := y.find(x[j], i, max(0, n - m + j + 1))) >= 0:
+        elif (i := y.find(x[j], i, end[j])) >= 0:
             prefix.append(i)
             i += 1
             continue

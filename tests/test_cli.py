@@ -152,6 +152,30 @@ def test_count_masks_of_an_x_longer_than_y_print_zero_at_once():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
+def test_count_masks_walk_only_prefixes_that_complete():
+    # x needs four 1s and y holds three, so no mask exists; a walk that
+    # extends prefixes which cannot complete tries every placement of the 14
+    # zeros first (32.5 s of CPU on a 2-vCPU host), while ω·max(|x|, 1) = 0 admits it
+    y, x = "0" * 28 + "1" * 3, "0" * 14 + "1" * 4
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "delkit.cli", "count", "--y", y, "--x", x, "--masks", "--budget", "40"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_count_masks_are_bounded_by_their_positions_not_by_y(capsys, monkeypatch):
+    # one mask of 25 positions is admitted at the default budget, though |y| = 25 > 24
+    monkeypatch.delenv("DELKIT_BUDGET", raising=False)
+    code, out, err = run(capsys, "count", "--y", "0" * 25, "--x", "0" * 25, "--masks")
+    assert (code, err) == (0, "")
+    assert out == "1\n{" + ", ".join(map(str, range(1, 26))) + "}\n"
+
+
 def test_count_masks_past_the_budget_are_refused_before_any_is_listed():
     # C(24, 12) = 2,704,156 masks of 12 positions each would be held at once,
     # about 0.9 GB; the child is run apart so a listing cannot reach the tests

@@ -210,7 +210,7 @@ def test_masks_golden():
 
 def test_masks_are_lexicographic_and_consistent_with_dp():
     for y in all_bits(7):
-        for m in range(0, 5):
+        for m in range(0, 9):
             for x in all_bits(m):
                 masks = enumerate_masks(y, x)
                 assert masks == sorted(masks)
