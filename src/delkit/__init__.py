@@ -27,6 +27,7 @@ _LAZY = {
         "g_transform", "predicted_weights_double", "predicted_weights_single",
     ),
     "oracle": ("OracleBudget", "oracle_count", "oracle_weight_table"),
+    "paper_objects": ("BlockMap", "Rle", "block_map_weights", "sigma_count"),
 }
 __all__ = core.__all__ + embed.__all__ + [name for names in _LAZY.values() for name in names]
 __version__ = "0.1.0"

@@ -266,15 +266,15 @@ def cmd_gchain(args: argparse.Namespace) -> int:
     return 0
 
 
-# suite name -> (its rows function in delkit.verify, called with a --max-m and
-# budget; default --max-m; n - m at its longest compatible set or None), in
-# --help order; only clusters builds one at m = 0
+# suite name -> (its rows function in delkit.verify, called as f(max_m, extra,
+# budget); default --max-m; extra, n - m at its longest compatible set, or
+# None), in --help order; only clusters builds one at m = 0
 SUITES = {
     "clusters": ("clusters", 6, 3),
     "initials": ("initials", 5, 3),
     "singletons": ("singletons", 5, 3),
-    "lemma1": ("lemma1", 8, 1),
-    "lemma4": ("lemma4", 8, 2),
+    "lemma1": ("lemma", 8, 1),
+    "lemma4": ("lemma", 8, 2),
     "identityB": ("identity_b", 10, None),
     "identityC": ("identity_c", 10, None),
     "entropy-min": ("entropy_min", 8, None),
@@ -291,7 +291,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if extra is not None and (max_m or args.suite == "clusters"):
         check_budget(max_m + extra, budget)
     from . import verify  # every refusal is made; only verify compiles the suites
-    rows = getattr(verify, rows_of)(max_m, budget)
+    rows = getattr(verify, rows_of)(max_m, extra, budget)
     failures = sum(1 for r in rows if not r[3])
     meta: list[tuple[str, object]] = [
         ("suite", args.suite),

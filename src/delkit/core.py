@@ -15,7 +15,6 @@ __all__ = [
     "BudgetError",
     "DEFAULT_BUDGET",
     "Mask",
-    "Rle",
     "binomial",
     "complement",
     "format_mask",
@@ -126,42 +125,6 @@ def multichoose(objects: int, bins: int) -> int:
     if bins <= 0:
         return 0
     return comb(objects + bins - 1, objects)
-
-
-class Rle(_Frozen):
-    """Run-length encoding: the leading symbol plus the maximal-run lengths.
-
-    Adjacent runs alternate symbols by construction, so the leading symbol
-    and the length sequence determine the string; non-alternating encodings
-    cannot be represented.  The empty string is encoded as zero runs with
-    leading symbol '0' by convention.
-    """
-
-    def __init__(self, leading: str, lengths: tuple[int, ...]) -> None:
-        if leading not in ("0", "1"):
-            raise ValueError(f"leading symbol must be '0' or '1', got {leading!r}")
-        if any(not isinstance(k, int) or k < 1 for k in lengths):
-            raise ValueError(f"run lengths must be positive integers, got {lengths}")
-        vars(self).update(leading=leading, lengths=lengths)
-
-    @classmethod
-    def encode(cls, s: str) -> "Rle":
-        validate_bits(s)
-        if not s:
-            return cls("0", ())
-        return cls(s[0], _run_lengths(s))
-
-    def decode(self) -> str:
-        sym = self.leading
-        parts = []
-        for k in self.lengths:
-            parts.append(sym * k)
-            sym = "1" if sym == "0" else "0"
-        return "".join(parts)
-
-    @property
-    def block_count(self) -> int:
-        return len(self.lengths)
 
 
 def format_mask(mask: Mask) -> str:

@@ -37,26 +37,19 @@ s(v) = ky_v + ky_(v-2) + ..., so the step stores T(v) - T(v-2), T(v) being
 chain[u] times the first binomial summed over u < v: one binomial per (u, v),
 as C(0, k) = 0.  That is O(lp * band^2) exact integer steps, band being the
 most images between two bounds and at most (l - lp) / 2 + 1, instead of one
-step per map.  The maps themselves are enumerated only where they are the
-output, in block_map_weights, by a depth-first walk over image prefixes
-inside the same bounds that drops a prefix as soon as one of its factors is 0
-(the maps of nonzero weight).
+step per map.  No route lists the maps: block maps are listed in
+paper_objects, whose block_map_weights walks the image prefixes inside the
+same bounds and drops a prefix as soon as one of its factors is 0 (the maps
+of nonzero weight).
 """
 from __future__ import annotations
 
 from collections import deque
 from math import comb, prod
 
-from .core import Mask, _Frozen, _run_lengths, binomial, validate_bits
+from .core import Mask, _run_lengths, validate_bits
 
-__all__ = [
-    "BlockMap",
-    "block_map_weights",
-    "count_embeddings_dp",
-    "count_embeddings_runs",
-    "enumerate_masks",
-    "sigma_count",
-]
+__all__ = ["count_embeddings_dp", "count_embeddings_runs", "enumerate_masks"]
 
 
 # The packed kernel answers where its table, (|x| + 1) slots of W bits, fits
@@ -188,36 +181,6 @@ def enumerate_masks(y: str, x: str) -> list[Mask]:
         i = prefix.pop() + 1
 
 
-def sigma_count(lp: int, l: int) -> int:
-    """Number of strictly increasing parity-preserving maps [lp] -> [l].
-
-    With lt = l if l and lp share parity else l-1: zero when lt < lp, else
-    C(lp + u, u) where u = (lt - lp) / 2.
-    """
-    if lp < 0 or l < 0:
-        raise ValueError("run counts must be nonnegative")
-    lt = l if (l - lp) % 2 == 0 else l - 1
-    if lt < lp:
-        return 0
-    u = (lt - lp) // 2
-    return binomial(lp + u, u)
-
-
-class BlockMap(_Frozen):
-    """A strictly increasing map of run indices with f(i) = i (mod 2).
-
-    ``images`` holds f(1), ..., f(lp) as 1-based run indices of y.
-    """
-
-    def __init__(self, images: tuple[int, ...]) -> None:
-        prev = 0
-        for i, v in enumerate(images, start=1):
-            if v <= prev or (v - i) % 2:
-                raise ValueError(f"not an increasing parity-preserving map: {images}")
-            prev = v
-        vars(self).update(images=images)
-
-
 def _aligned_run_lengths(
     y: str, x: str
 ) -> tuple[tuple[int, ...], tuple[int, ...], list[int]] | None:
@@ -303,39 +266,3 @@ def count_embeddings_runs(y: str, x: str) -> int:
             return 0
         chain = nxt
     return sum(chain.values())
-
-
-def block_map_weights(y: str, x: str) -> list[tuple[BlockMap, int]]:
-    """Per-map weights of the run route, for maps of nonzero weight.
-
-    The weights partition the mask set: they sum to count_embeddings_dp(y, x).
-    Maps are indexed against y's runs after leading-symbol alignment.
-    """
-    aligned = _aligned_run_lengths(y, x)
-    if aligned is None:
-        return []
-    ky, kx, q = aligned
-    bounds = _image_bounds(kx, q, len(ky))
-    if bounds is None:
-        return []
-    left, right = bounds
-    lp = len(kx)
-    out = []
-    # depth first over image prefixes, in lex order: (images, weight so far)
-    stack: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    while stack:
-        images, w = stack.pop()
-        i = len(images)
-        if i == lp:
-            out.append((BlockMap(images), w))
-            continue
-        u = images[-1] if images else 0
-        children = []
-        # only images that can complete; a zero factor drops the prefix with
-        # all its extensions
-        for v in range(max(u + 1, left[i]), right[i] + 1, 2):
-            avail = q[v + 1] - q[u]
-            if step := comb(avail, kx[i]) - comb(avail - ky[v - 1], kx[i]):
-                children.append((images + (v,), w * step))
-        stack.extend(reversed(children))
-    return out

@@ -1,13 +1,13 @@
 """The self-check suites behind `delkit verify`.
 
 Each suite checks closed forms of the paper against the compatible sets and
-returns one row (case, lhs, rhs, ok) per check.  clusters, singletons, lemma1
-and lemma4 read the weight histograms from space._weight_histograms, one call
-per (m, n) over x in lex order; initials tests each member string, so it
-lists them with space.enumerate_supersequences.  Only `delkit verify`
-imports this module, so no other CLI start compiles it.  cli.SUITES names
-each suite's function here, with its default --max-m and longest n - m; the
-CLI refuses an over-budget --max-m or n before this module loads.
+returns one row (case, lhs, rhs, ok) per check.  clusters, singletons and
+lemma (lemma1, lemma4) read the weight histograms from space._weight_histograms,
+one call per (m, n) over x in lex order; initials tests each member string, so
+it lists them with space.enumerate_supersequences.  Only `delkit verify`
+imports this module, once the CLI has refused an over-budget --max-m or n; it
+calls the function cli.SUITES names with (max_m, extra, budget), extra being
+the suite's longest n - m there, so each suite's n range is stated once.
 """
 from __future__ import annotations
 
@@ -42,10 +42,10 @@ def _compositions(m: int):
             yield (first,) + rest
 
 
-def clusters(max_m: int, budget: int) -> list[Row]:
+def clusters(max_m: int, extra: int, budget: int) -> list[Row]:
     rows: list[Row] = []
     for m in range(0, max_m + 1):
-        for n in range(m, m + 4):
+        for n in range(m, m + extra + 1):
             xs = ["1" * h + "0" * (m - h) for h in range(0, m + 1)]
             for h, (_, parts) in enumerate(space._weight_histograms(n, xs, True, budget)):
                 for c in range(0, n - m + 1):
@@ -58,10 +58,10 @@ def clusters(max_m: int, budget: int) -> list[Row]:
     return rows
 
 
-def initials(max_m: int, budget: int) -> list[Row]:
+def initials(max_m: int, extra: int, budget: int) -> list[Row]:
     rows: list[Row] = []
     for m in range(1, max_m + 1):
-        for n in range(m, m + 4):
+        for n in range(m, m + extra + 1):
             for x in _all_bits(m):
                 h = x.count("1")
                 members = space.enumerate_supersequences(n, x, budget)
@@ -79,11 +79,11 @@ def initials(max_m: int, budget: int) -> list[Row]:
     return rows
 
 
-def singletons(max_m: int, budget: int) -> list[Row]:
+def singletons(max_m: int, extra: int, budget: int) -> list[Row]:
     rows: list[Row] = []
     for m in range(1, max_m + 1):
         xs = list(_all_bits(m))
-        for n in range(m, m + 4):
+        for n in range(m, m + extra + 1):
             for x, (counts, parts) in zip(xs, space._weight_histograms(n, xs, True, budget)):
                 singles, closed = counts.get(1, 0), singleton_count(n, x)
                 ok = singles == closed and all(
@@ -94,7 +94,7 @@ def singletons(max_m: int, budget: int) -> list[Row]:
     return rows
 
 
-def _lemma_rows(max_m: int, extra: int, budget: int) -> list[Row]:
+def lemma(max_m: int, extra: int, budget: int) -> list[Row]:
     predict = predicted_weights_single if extra == 1 else predicted_weights_double
     rows: list[Row] = []
     for m in range(1, max_m + 1):
@@ -106,14 +106,6 @@ def _lemma_rows(max_m: int, extra: int, budget: int) -> list[Row]:
     return rows
 
 
-def lemma1(max_m: int, budget: int) -> list[Row]:
-    return _lemma_rows(max_m, 1, budget)
-
-
-def lemma4(max_m: int, budget: int) -> list[Row]:
-    return _lemma_rows(max_m, 2, budget)
-
-
 def _identity_rows(max_m: int, fn) -> list[Row]:
     rows: list[Row] = []
     for m in range(1, max_m + 1):
@@ -123,15 +115,15 @@ def _identity_rows(max_m: int, fn) -> list[Row]:
     return rows
 
 
-def identity_b(max_m: int, _budget: int) -> list[Row]:
+def identity_b(max_m: int, _extra: None, _budget: int) -> list[Row]:
     return _identity_rows(max_m, double_count_identity)
 
 
-def identity_c(max_m: int, _budget: int) -> list[Row]:
+def identity_c(max_m: int, _extra: None, _budget: int) -> list[Row]:
     return _identity_rows(max_m, double_weight_identity)
 
 
-def entropy_min(max_m: int, _budget: int) -> list[Row]:
+def entropy_min(max_m: int, _extra: None, _budget: int) -> list[Row]:
     def argmin_text(values: dict[str, float]) -> str:
         low = min(values.values())
         return "{" + ",".join(sorted(x for x, v in values.items() if v <= low + 1e-9)) + "}"

@@ -20,7 +20,7 @@ from delkit.clusters import (
     singleton_count,
 )
 from delkit.core import binomial
-from delkit.embed import block_map_weights, count_embeddings_dp, count_embeddings_runs
+from delkit.embed import count_embeddings_dp, count_embeddings_runs
 from delkit.deletions import (
     delta_single,
     double_count_identity,
@@ -31,6 +31,7 @@ from delkit.deletions import (
 )
 from delkit.entropy import min_entropy, mu, renyi_entropy, shannon_entropy, weight_distribution
 from delkit.oracle import oracle_weight_table
+from delkit.paper_objects import block_map_weights
 from delkit.space import cluster_size_closed, enumerate_supersequences, upsilon_size
 
 # length-5 weight rows published for x=110 and x=101 (15 rows each)

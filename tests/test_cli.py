@@ -1004,6 +1004,9 @@ def test_importing_a_submodule_by_from_loads_no_other_module():
         ("weight_distribution", ["delkit.entropy", "delkit.space"]),
         ("g_chain", ["delkit.deletions", "delkit.entropy", "delkit.space"]),
         ("run_slots", ["delkit.clusters", "delkit.space"]),
+        ("Rle", ["delkit.paper_objects"]),
+        ("sigma_count", ["delkit.paper_objects"]),
+        ("block_map_weights", ["delkit.paper_objects"]),
     ],
 )
 def test_a_package_level_name_loads_only_the_module_that_exports_it(name, loads):

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delkit.core import (
-    Rle,
     binomial,
     complement,
     format_mask,
@@ -16,6 +15,7 @@ from delkit.core import (
     multichoose,
     validate_bits,
 )
+from delkit.paper_objects import Rle
 
 bits = st.text(alphabet="01", max_size=40)
 
@@ -100,11 +100,11 @@ def test_mask_formatting_is_one_based():
 
 def test_package_exports_the_union_of_module_lists():
     import delkit
-    from delkit import clusters, core, deletions, embed, entropy, oracle, space
+    from delkit import clusters, core, deletions, embed, entropy, oracle, paper_objects, space
 
     names = (
         core.__all__ + embed.__all__ + entropy.__all__ + deletions.__all__ + oracle.__all__
-        + space.__all__ + clusters.__all__
+        + space.__all__ + clusters.__all__ + paper_objects.__all__
     )
     assert len(set(names)) == len(names)
     assert sorted(delkit.__all__) == sorted(names)

@@ -7,21 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delkit import embed
-from delkit.core import Rle, complement
+from delkit.core import complement
 from delkit.embed import (
     PACKED_BITS,
-    BlockMap,
     _aligned_run_lengths,
     _count_banded,
     _count_packed,
     _image_bounds,
-    block_map_weights,
     count_embeddings_dp,
     count_embeddings_runs,
     enumerate_masks,
-    sigma_count,
 )
 from delkit.oracle import oracle_count
+from delkit.paper_objects import BlockMap, Rle, block_map_weights, sigma_count
 
 from helpers import all_bits
 

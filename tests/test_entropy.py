@@ -259,7 +259,7 @@ def test_g_transform_golden():
 
 @given(bits)
 def test_g_transform_preserves_length_and_drops_a_run(x):
-    from delkit.core import Rle
+    from delkit.paper_objects import Rle
 
     gx = g_transform(x)
     assert len(gx) == len(x)
@@ -270,7 +270,7 @@ def test_g_transform_preserves_length_and_drops_a_run(x):
 def test_run_readers_agree_with_rle_exhaustively():
     # g_transform, run_slots and predicted_weights_single read runs on their
     # own; Rle.encode is the independent side
-    from delkit.core import Rle
+    from delkit.paper_objects import Rle
 
     for m in range(1, 13):
         for x in all_bits(m):
